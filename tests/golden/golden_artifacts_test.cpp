@@ -1,8 +1,9 @@
 // Golden-artifact regression tests: the Table 1 / Figure 6 / Figure 10
-// renderings of the canonical scenario, pinned byte-for-byte against
-// checked-in fixtures.  The renderers in src/artifact are the same code
-// the bench harnesses print, so any accounting change to the headline
-// numbers must be made explicitly: regenerate with
+// renderings of the canonical scenario and its serialized dataset, pinned
+// byte-for-byte against checked-in fixtures.  The renderers in
+// src/artifact are the same code the bench harnesses print, so any
+// accounting change to the headline numbers must be made explicitly:
+// regenerate with
 //
 //   INTERTUBES_GOLDEN_REGEN=1 ./intertubes_tests --gtest_filter='GoldenArtifacts*'
 //
@@ -15,6 +16,7 @@
 #include <string>
 
 #include "artifact/renderers.hpp"
+#include "core/dataset_io.hpp"
 #include "risk/risk_matrix.hpp"
 #include "test_support.hpp"
 
@@ -69,6 +71,15 @@ TEST(GoldenArtifacts, Fig6SharingDistribution) {
 
 TEST(GoldenArtifacts, Fig10Robustness) {
   check_golden("fig10.golden", artifact::render_fig10(shared_scenario(), shared_matrix()));
+}
+
+TEST(GoldenArtifacts, DatasetBytes) {
+  // The pipeline's whole output: every node, conduit, tenant, validation
+  // flag and link of the canonical map, as the dataset writer emits it.
+  const auto& scenario = shared_scenario();
+  check_golden("dataset.golden",
+               core::serialize_dataset(scenario.map(), core::Scenario::cities(), scenario.row(),
+                                       scenario.truth().profiles()));
 }
 
 TEST(GoldenArtifacts, RenderersAreDeterministic) {
