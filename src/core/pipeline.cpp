@@ -21,8 +21,8 @@ MapBuilder::MapBuilder(const transport::CityDatabase& cities,
       corpus_(corpus),
       params_(std::move(params)),
       index_(corpus.documents),
-      extractor_(cities, profiles),
-      inference_(cities, corpus.documents, index_, extractor_, profiles) {}
+      inference_(cities, corpus.documents, index_, records::EntityExtractor(cities, profiles),
+                 profiles) {}
 
 std::vector<CorridorId> MapBuilder::snap_geometry(CityId a, CityId b,
                                                   const geo::Polyline& geometry) const {
@@ -31,9 +31,10 @@ std::vector<CorridorId> MapBuilder::snap_geometry(CityId a, CityId b,
   std::vector<char> candidate(row_.corridors().size(), 0);
   for (const Corridor& c : row_.corridors()) {
     if (!geom_box.intersects(c.path.bounds())) continue;
-    const double covered =
-        geo::fraction_within_buffer(c.path, geometry, params_.snap_buffer_km, 15.0);
-    if (covered >= params_.snap_coverage) candidate[c.id] = 1;
+    if (geo::covers_at_least(c.path, geometry, params_.snap_buffer_km, 15.0,
+                             params_.snap_coverage)) {
+      candidate[c.id] = 1;
+    }
   }
   // Shortest path from a to b restricted to candidates.
   const auto path = row_.shortest_path(a, b, [&](const Corridor& c) {

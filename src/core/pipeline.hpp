@@ -115,7 +115,6 @@ class MapBuilder {
   const records::Corpus& corpus_;
   PipelineParams params_;
   records::SearchIndex index_;
-  records::EntityExtractor extractor_;
   records::SharingInference inference_;
 };
 

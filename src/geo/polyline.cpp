@@ -66,6 +66,13 @@ double Polyline::distance_to_km(const GeoPoint& p) const {
   return best;
 }
 
+bool Polyline::within_km(const GeoPoint& p, double km) const {
+  for (std::size_t i = 0; i + 1 < points_.size(); ++i) {
+    if (point_to_segment_km(p, points_[i], points_[i + 1]) <= km) return true;
+  }
+  return false;
+}
+
 Polyline Polyline::reversed() const {
   std::vector<GeoPoint> pts(points_.rbegin(), points_.rend());
   return Polyline(std::move(pts));
@@ -91,6 +98,31 @@ double fraction_within_buffer(const Polyline& line, const Polyline& reference, d
     if (reference.distance_to_km(p) <= buffer_km) ++within;
   }
   return static_cast<double>(within) / static_cast<double>(samples.size());
+}
+
+bool covers_at_least(const Polyline& line, const Polyline& reference, double buffer_km,
+                     double sample_km, double min_fraction) {
+  IT_CHECK(buffer_km > 0.0);
+  IT_CHECK(sample_km > 0.0);
+  // The samples of line.sample_every_km(sample_km), produced only as far
+  // as they are read: first count them, then walk the same distances.
+  std::size_t count = 1;
+  for (double d = 0.0; d < line.length_km(); d += sample_km) ++count;
+  const double n = static_cast<double>(count);
+  const BoundingBox ref_box = reference.bounds().expanded_km(buffer_km);
+  // The final fraction is within / n for some within between the hits so
+  // far and the hits so far plus the samples left.  Dividing by n is
+  // monotone, so once either end settles the comparison, the samples left
+  // cannot change it.
+  std::size_t within = 0;
+  double d = 0.0;
+  for (std::size_t i = 0; i < count; ++i, d += sample_km) {
+    if (static_cast<double>(within) / n >= min_fraction) return true;
+    if (static_cast<double>(within + (count - i)) / n < min_fraction) return false;
+    const GeoPoint p = i + 1 < count ? line.point_at_km(d) : line.back();
+    if (ref_box.contains(p) && reference.within_km(p, buffer_km)) ++within;
+  }
+  return static_cast<double>(within) / n >= min_fraction;
 }
 
 double route_similarity(const Polyline& a, const Polyline& b, double buffer_km, double sample_km) {

@@ -57,6 +57,9 @@ class Polyline {
   /// Minimum distance (km) from p to this polyline.
   double distance_to_km(const GeoPoint& p) const;
 
+  /// distance_to_km(p) <= km, stopping at the first segment within reach.
+  bool within_km(const GeoPoint& p, double km) const;
+
   /// A polyline traversing the same points in reverse.
   Polyline reversed() const;
 
@@ -77,6 +80,12 @@ class Polyline {
 /// `sample_km`.
 double fraction_within_buffer(const Polyline& line, const Polyline& reference, double buffer_km,
                               double sample_km = 10.0);
+
+/// fraction_within_buffer(line, reference, buffer_km, sample_km) >=
+/// min_fraction, exactly, without always scanning every sample: it stops
+/// as soon as the samples left can no longer change the answer.
+bool covers_at_least(const Polyline& line, const Polyline& reference, double buffer_km,
+                     double sample_km, double min_fraction);
 
 /// Symmetric geometric similarity of two polylines: mean of the two
 /// directed "fraction within buffer" measures.  Used to detect that two

@@ -95,7 +95,13 @@ SharingInference::SharingInference(const transport::CityDatabase& cities,
                                    const std::vector<Document>& docs, const SearchIndex& index,
                                    const EntityExtractor& extractor,
                                    const std::vector<isp::IspProfile>& profiles)
-    : cities_(cities), docs_(docs), index_(index), extractor_(extractor), profiles_(profiles) {}
+    : cities_(cities), index_(index), profiles_(profiles) {
+  entities_.reserve(docs.size());
+  for (const Document& doc : docs) {
+    IT_CHECK_MSG(doc.id == entities_.size(), "documents must be numbered densely");
+    entities_.push_back(extractor.extract(doc));
+  }
+}
 
 ConduitEvidence SharingInference::infer(CityId a, CityId b, IspId hint_isp,
                                         std::optional<transport::TransportMode> row_mode,
@@ -116,8 +122,7 @@ ConduitEvidence SharingInference::infer(CityId a, CityId b, IspId hint_isp,
 
   std::unordered_map<IspId, TenantEvidence> per_isp;
   for (const auto& hit : hits) {
-    const Document& doc = docs_[hit.doc];
-    const auto entities = extractor_.extract(doc);
+    const ExtractedEntities& entities = entities_[hit.doc];
     // The analyst only counts documents that clearly concern this city
     // pair and that describe installed (not proposed) fiber.
     const bool mentions_both =
@@ -134,7 +139,7 @@ ConduitEvidence SharingInference::infer(CityId a, CityId b, IspId hint_isp,
       ++te.doc_count;
       if (entities.strong) ++te.strong_doc_count;
       te.score += hit.score;
-      te.docs.push_back(doc.id);
+      te.docs.push_back(hit.doc);
     }
   }
 

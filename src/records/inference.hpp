@@ -82,6 +82,9 @@ struct InferenceParams {
 /// Runs the search-read-accumulate loop for candidate conduits.
 class SharingInference {
  public:
+  /// Extracts every document's entities once, here: they depend only on
+  /// the document text, and `infer` reads each hit's from this table.
+  /// `docs` must be densely numbered (docs[i].id == i), as `index` is.
   SharingInference(const transport::CityDatabase& cities, const std::vector<Document>& docs,
                    const SearchIndex& index, const EntityExtractor& extractor,
                    const std::vector<isp::IspProfile>& profiles);
@@ -103,10 +106,9 @@ class SharingInference {
 
  private:
   const transport::CityDatabase& cities_;
-  const std::vector<Document>& docs_;
   const SearchIndex& index_;
-  const EntityExtractor& extractor_;
   const std::vector<isp::IspProfile>& profiles_;
+  std::vector<ExtractedEntities> entities_;  ///< by DocId
 };
 
 }  // namespace intertubes::records

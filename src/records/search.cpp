@@ -37,11 +37,14 @@ std::vector<SearchHit> SearchIndex::query(std::string_view text, double min_matc
   if (terms.empty()) return {};
 
   const double n_docs = static_cast<double>(doc_lengths_.size());
-  // BM25-lite accumulation.
+  // BM25-lite accumulation into dense per-document arrays, remembering
+  // which documents were touched.  Each document's score sums its terms in
+  // sorted term order, so the result does not depend on the accumulator.
   constexpr double k1 = 1.4;
   constexpr double b = 0.6;
-  std::unordered_map<DocId, double> scores;
-  std::unordered_map<DocId, std::uint32_t> matched_terms;
+  std::vector<double> scores(doc_lengths_.size(), 0.0);
+  std::vector<std::uint32_t> matched_terms(doc_lengths_.size(), 0);
+  std::vector<DocId> touched;
   for (const auto& term : terms) {
     const auto it = postings_.find(term);
     if (it == postings_.end()) continue;
@@ -53,19 +56,21 @@ std::vector<SearchHit> SearchIndex::query(std::string_view text, double min_matc
       const double tf_component =
           static_cast<double>(posting.tf) * (k1 + 1.0) /
           (static_cast<double>(posting.tf) + k1 * len_norm);
+      if (matched_terms[posting.doc]++ == 0) touched.push_back(posting.doc);
       scores[posting.doc] += idf * tf_component;
-      ++matched_terms[posting.doc];
     }
   }
 
   std::vector<SearchHit> hits;
-  hits.reserve(scores.size());
+  hits.reserve(touched.size());
   const double n_terms = static_cast<double>(terms.size());
-  for (const auto& [doc, score] : scores) {
+  for (const DocId doc : touched) {
     const double frac = static_cast<double>(matched_terms[doc]) / n_terms;
     if (frac + 1e-12 < min_match) continue;
-    hits.push_back({doc, score, frac});
+    hits.push_back({doc, scores[doc], frac});
   }
+  // (score desc, doc asc) is a total order: the ranking does not depend on
+  // the order the hits were collected in.
   std::sort(hits.begin(), hits.end(), [](const SearchHit& x, const SearchHit& y) {
     if (x.score != y.score) return x.score > y.score;
     return x.doc < y.doc;

@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <limits>
+#include <unordered_map>
+
+#include "core/scenario.hpp"
+#include "records/inference.hpp"
 #include "test_support.hpp"
+#include "util/strings.hpp"
 
 namespace intertubes::records {
 namespace {
@@ -124,6 +133,127 @@ TEST(SearchIndex, ScalesToScenarioCorpus) {
   EXPECT_EQ(index.num_documents(), corpus.documents.size());
   const auto hits = index.query("fiber optic conduit right of way", 0.3, 50);
   EXPECT_FALSE(hits.empty());
+}
+
+/// Differential reference: BM25-lite with its own postings and one
+/// std::unordered_map score and match count per touched document — the
+/// accumulation SearchIndex::query used before its dense arrays.
+class MapReferenceIndex {
+ public:
+  explicit MapReferenceIndex(const std::vector<Document>& docs) {
+    doc_lengths_.resize(docs.size(), 0);
+    std::unordered_map<std::string, std::uint32_t> tf;
+    for (const Document& doc : docs) {
+      tf.clear();
+      const auto tokens = tokenize_words(doc.title + " " + doc.text);
+      doc_lengths_[doc.id] = static_cast<std::uint32_t>(tokens.size());
+      for (const auto& tok : tokens) ++tf[tok];
+      for (const auto& [term, count] : tf) postings_[term].push_back({doc.id, count});
+    }
+    double total = 0.0;
+    for (auto len : doc_lengths_) total += len;
+    avg_doc_length_ = total / static_cast<double>(doc_lengths_.size());
+  }
+
+  std::vector<SearchHit> query(std::string_view text, double min_match,
+                               std::size_t limit) const {
+    auto terms = tokenize_words(text);
+    std::sort(terms.begin(), terms.end());
+    terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
+    if (terms.empty()) return {};
+    const double n_docs = static_cast<double>(doc_lengths_.size());
+    constexpr double k1 = 1.4;
+    constexpr double b = 0.6;
+    std::unordered_map<DocId, double> scores;
+    std::unordered_map<DocId, std::uint32_t> matched_terms;
+    for (const auto& term : terms) {
+      const auto it = postings_.find(term);
+      if (it == postings_.end()) continue;
+      const double df = static_cast<double>(it->second.size());
+      const double idf = std::log(1.0 + (n_docs - df + 0.5) / (df + 0.5));
+      for (const auto& [doc, tf] : it->second) {
+        const double len_norm =
+            1.0 - b + b * static_cast<double>(doc_lengths_[doc]) / avg_doc_length_;
+        const double tf_component =
+            static_cast<double>(tf) * (k1 + 1.0) / (static_cast<double>(tf) + k1 * len_norm);
+        scores[doc] += idf * tf_component;
+        ++matched_terms[doc];
+      }
+    }
+    std::vector<SearchHit> hits;
+    const double n_terms = static_cast<double>(terms.size());
+    for (const auto& [doc, score] : scores) {
+      const double frac = static_cast<double>(matched_terms.at(doc)) / n_terms;
+      if (frac + 1e-12 < min_match) continue;
+      hits.push_back({doc, score, frac});
+    }
+    std::sort(hits.begin(), hits.end(), [](const SearchHit& x, const SearchHit& y) {
+      if (x.score != y.score) return x.score > y.score;
+      return x.doc < y.doc;
+    });
+    if (hits.size() > limit) hits.resize(limit);
+    return hits;
+  }
+
+ private:
+  std::unordered_map<std::string, std::vector<std::pair<DocId, std::uint32_t>>> postings_;
+  std::vector<std::uint32_t> doc_lengths_;
+  double avg_doc_length_ = 0.0;
+};
+
+void expect_same_hits(const std::vector<SearchHit>& got, const std::vector<SearchHit>& want,
+                      const std::string& text) {
+  ASSERT_EQ(got.size(), want.size()) << text;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].doc, want[i].doc) << text << " rank " << i;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i].score),
+              std::bit_cast<std::uint64_t>(want[i].score))
+        << text << " rank " << i;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i].match_fraction),
+              std::bit_cast<std::uint64_t>(want[i].match_fraction))
+        << text << " rank " << i;
+  }
+}
+
+TEST(SearchIndex, DenseAccumulatorMatchesMapReferenceOnCorridorQueries) {
+  // Every corridor's records query, as SharingInference composes it, with
+  // and without an ISP hint: the hit lists must agree bit for bit, both
+  // ungated and unlimited (every touched document's score) and under the
+  // pipeline's gate and limit.
+  const auto& scenario = intertubes::testing::shared_scenario();
+  const auto& docs = scenario.corpus().documents;
+  const SearchIndex index(docs);
+  const MapReferenceIndex reference(docs);
+  const auto& cities = core::Scenario::cities();
+  const auto& profiles = scenario.truth().profiles();
+  const InferenceParams pipeline;
+  constexpr auto kUnlimited = std::numeric_limits<std::size_t>::max();
+  std::size_t queries = 0;
+  std::size_t gated_hits = 0;
+  for (const auto& corridor : scenario.row().corridors()) {
+    const auto& ca = cities.city(corridor.a);
+    const auto& cb = cities.city(corridor.b);
+    const std::string plain = ca.name + " " + ca.state + " to " + cb.name + " " + cb.state +
+                              " fiber optic conduit right of way iru";
+    const std::string hinted = plain + " " + profiles[corridor.id % profiles.size()].name;
+    for (const std::string& text : {plain, hinted}) {
+      ++queries;
+      const auto all = reference.query(text, 0.0, kUnlimited);
+      ASSERT_NO_FATAL_FAILURE(expect_same_hits(index.query(text, 0.0, kUnlimited), all, text));
+      // The reference's gated list is its full ranking, filtered and cut.
+      std::vector<SearchHit> gated;
+      for (const auto& hit : all) {
+        if (hit.match_fraction + 1e-12 < pipeline.min_match) continue;
+        if (gated.size() == pipeline.max_docs_per_query) break;
+        gated.push_back(hit);
+      }
+      ASSERT_NO_FATAL_FAILURE(expect_same_hits(
+          index.query(text, pipeline.min_match, pipeline.max_docs_per_query), gated, text));
+      gated_hits += gated.size();
+    }
+  }
+  EXPECT_EQ(queries, 2 * scenario.row().corridors().size());
+  EXPECT_GT(gated_hits, queries);
 }
 
 }  // namespace
