@@ -161,7 +161,8 @@ std::shared_ptr<Snapshot> Snapshot::build(core::WorldView world, SnapshotOptions
   if (options.overlay_probes > 0) {
     traceroute::CampaignParams params;
     params.num_probes = options.overlay_probes;
-    const auto campaign = traceroute::run_campaign(*snap->l3_, *snap->world_.cities, params);
+    const auto campaign = traceroute::run_campaign(*snap->l3_, *snap->world_.cities,
+                                                   snap->world_.truth->profiles(), params);
     snap->overlay_ = std::make_shared<traceroute::OverlayResult>(
         traceroute::overlay_campaign(snap->map_, *snap->world_.cities, campaign));
   }

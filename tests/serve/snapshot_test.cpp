@@ -6,7 +6,9 @@
 #include <thread>
 #include <vector>
 
+#include "isp/profiles.hpp"
 #include "test_support.hpp"
+#include "worldgen/worldgen.hpp"
 
 namespace intertubes::serve {
 namespace {
@@ -45,6 +47,21 @@ TEST(ServeSnapshot, BuildWithOverlayProbes) {
   ASSERT_NE(snap->overlay(), nullptr);
   EXPECT_EQ(snap->overlay()->usage.size(), snap->map().conduits().size());
   EXPECT_EQ(snap->label(), "with overlay");
+}
+
+TEST(ServeSnapshot, OverlayOnMultiContinentWorldUsesTheWorldsProfiles) {
+  // A scale-2 world has more ISPs than the twenty default profiles, so the
+  // overlay campaign must name and decode its hops with the world's own.
+  worldgen::WorldSpec spec;
+  spec.scale = 2.0;
+  const auto world = worldgen::generate_world(spec);
+  ASSERT_GT(world.truth().profiles().size(), isp::default_profiles().size());
+  SnapshotOptions options;
+  options.overlay_probes = 1000;
+  const auto snap = Snapshot::build(world.view(), options);
+  ASSERT_NE(snap->overlay(), nullptr);
+  EXPECT_EQ(snap->overlay()->usage.size(), snap->map().conduits().size());
+  EXPECT_GT(snap->overlay()->mapped_segments, 0u);
 }
 
 TEST(ServeSnapshot, PublishAssignsStrictlyIncreasingEpochs) {
