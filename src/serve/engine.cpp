@@ -1,6 +1,8 @@
 #include "serve/engine.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <sstream>
 #include <thread>
 
@@ -169,8 +171,8 @@ void execute_latency_dissection(const Snapshot& snap, const LatencyDissectionQue
 void execute_clatency_audit(const Snapshot& snap, const CLatencyAuditQuery& query,
                             Response& response) {
   // top_k == 0 is a valid query: aggregates only, empty pair table.
-  if (query.target_factor < 1.0) {
-    fail(response, Status::BadRequest, "audit target factor must be >= 1");
+  if (!std::isfinite(query.target_factor) || query.target_factor < 1.0) {
+    fail(response, Status::BadRequest, "audit target factor must be finite and >= 1");
     return;
   }
   const auto& cities = snap.cities();
@@ -212,8 +214,8 @@ void execute_what_if_cascade(const Snapshot& snap, const WhatIfCascadeQuery& que
     fail(response, Status::BadRequest, "what-if-cascade needs at least one conduit");
     return;
   }
-  if (query.capacity_margin < 0.0) {
-    fail(response, Status::BadRequest, "capacity margin must be non-negative");
+  if (!std::isfinite(query.capacity_margin) || query.capacity_margin < 0.0) {
+    fail(response, Status::BadRequest, "capacity margin must be finite and non-negative");
     return;
   }
   if (query.max_rounds == 0 || query.max_rounds > 64) {
@@ -254,12 +256,24 @@ void execute_what_if_cascade(const Snapshot& snap, const WhatIfCascadeQuery& que
 }
 
 void execute_sleep(const SleepQuery& query, Response& response) {
-  if (query.ms < 0.0) {
-    fail(response, Status::BadRequest, "sleep duration must be non-negative");
+  if (!std::isfinite(query.ms) || query.ms < 0.0) {
+    fail(response, Status::BadRequest, "sleep duration must be finite and non-negative");
     return;
   }
   std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(query.ms));
   response.body = SleepResult{};
+}
+
+/// Streams a double in its shortest round-trip form: distinct values get
+/// distinct text, and short decimals such as 0.25 stay "0.25".
+struct Exact {
+  double value;
+};
+
+std::ostream& operator<<(std::ostream& out, Exact exact) {
+  char buf[32];
+  const auto result = std::to_chars(buf, buf + sizeof buf, exact.value);
+  return out.write(buf, result.ptr - buf);
 }
 
 }  // namespace
@@ -290,16 +304,16 @@ std::string canonical_key(const Request& request) {
         } else if constexpr (std::is_same_v<T, LatencyDissectionQuery>) {
           key << "dissect:" << query.from << "|" << query.to;
         } else if constexpr (std::is_same_v<T, CLatencyAuditQuery>) {
-          key << "claudit:" << query.top_k << ":" << query.target_factor;
+          key << "claudit:" << query.top_k << ":" << Exact{query.target_factor};
         } else if constexpr (std::is_same_v<T, WhatIfCascadeQuery>) {
           auto cuts = query.cuts;
           std::sort(cuts.begin(), cuts.end());
           cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
           key << "cascade:";
           for (std::size_t i = 0; i < cuts.size(); ++i) key << (i ? "," : "") << cuts[i];
-          key << ";m=" << query.capacity_margin << ";r=" << query.max_rounds;
+          key << ";m=" << Exact{query.capacity_margin} << ";r=" << query.max_rounds;
         } else if constexpr (std::is_same_v<T, SleepQuery>) {
-          key << "sleep:" << query.ms;
+          key << "sleep:" << Exact{query.ms};
         }
       },
       request);

@@ -112,7 +112,9 @@ using Request = std::variant<SharedRiskQuery, TopConduitsQuery, WhatIfCutQuery, 
 RequestType request_type(const Request& request) noexcept;
 
 /// Canonical cache-key form: identical semantics ⇒ identical string
-/// (what-if cut lists are sorted and deduplicated, etc.).
+/// (what-if cut lists are sorted and deduplicated, etc.).  Doubles are
+/// written in shortest round-trip form, so distinct values never share a
+/// key.
 std::string canonical_key(const Request& request);
 
 // --- Responses --------------------------------------------------------

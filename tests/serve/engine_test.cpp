@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <future>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -15,6 +17,9 @@
 
 namespace intertubes::serve {
 namespace {
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 std::shared_ptr<const core::Scenario> scenario_ptr() {
   return {std::shared_ptr<const core::Scenario>{}, &testing::shared_scenario()};
@@ -67,6 +72,10 @@ TEST(ServeEngine, BadParametersAreBadRequests) {
       static_cast<core::ConduitId>(testing::shared_scenario().map().conduits().size());
   EXPECT_EQ(engine.serve(WhatIfCutQuery{{huge}}).status, Status::BadRequest);
   EXPECT_EQ(engine.serve(SleepQuery{-1.0}).status, Status::BadRequest);
+  // Non-finite durations are refused rather than slept on.
+  EXPECT_EQ(engine.serve(SleepQuery{kNaN}).status, Status::BadRequest);
+  EXPECT_EQ(engine.serve(SleepQuery{kInf}).status, Status::BadRequest);
+  EXPECT_EQ(engine.serve(SleepQuery{-kInf}).status, Status::BadRequest);
 }
 
 TEST(ServeEngine, DegenerateKIsWellDefinedNotAnError) {
@@ -237,6 +246,14 @@ TEST(ServeEngine, CanonicalKeysCollapseEquivalentRequests) {
   EXPECT_NE(canonical_key(WhatIfCutQuery{{3}}), canonical_key(WhatIfCutQuery{{7}}));
   EXPECT_NE(canonical_key(SharedRiskQuery{"Sprint"}), canonical_key(SharedRiskQuery{"AT&T"}));
   EXPECT_NE(canonical_key(TopConduitsQuery{3}), canonical_key(TopConduitsQuery{4}));
+  // Doubles are keyed exactly: parameters that differ in the 7th
+  // significant digit or beyond are different requests.
+  EXPECT_NE(canonical_key(CLatencyAuditQuery{5, 2.0}),
+            canonical_key(CLatencyAuditQuery{5, 2.0000001}));
+  EXPECT_NE(canonical_key(SleepQuery{1.0}), canonical_key(SleepQuery{std::nextafter(1.0, 2.0)}));
+  // Short decimals keep their short form, so existing keys are unchanged.
+  EXPECT_EQ(canonical_key(CLatencyAuditQuery{5, 2.0}), "claudit:5:2");
+  EXPECT_EQ(canonical_key(SleepQuery{1.5}), "sleep:1.5");
 }
 
 TEST(ServeEngine, EpochBumpInvalidatesCachedResults) {
@@ -438,6 +455,9 @@ TEST(ServeEngine, CLatencyAuditMatchesDirectStudyAndCaches) {
 TEST(ServeEngine, CLatencyAuditRejectsBadParameters) {
   Engine engine(shared_store(), sim::default_executor());
   EXPECT_EQ(engine.serve(CLatencyAuditQuery{5, 0.5}).status, Status::BadRequest);
+  EXPECT_EQ(engine.serve(CLatencyAuditQuery{5, kNaN}).status, Status::BadRequest);
+  EXPECT_EQ(engine.serve(CLatencyAuditQuery{5, kInf}).status, Status::BadRequest);
+  EXPECT_EQ(engine.serve(CLatencyAuditQuery{5, -kInf}).status, Status::BadRequest);
   // top_k == 0 is a valid degenerate ask: aggregates only, no pair table.
   const auto response = engine.serve(CLatencyAuditQuery{0, 2.0});
   ASSERT_EQ(response.status, Status::Ok);
@@ -491,6 +511,9 @@ TEST(ServeEngine, WhatIfCascadeRejectsBadParameters) {
       static_cast<core::ConduitId>(testing::shared_scenario().map().conduits().size());
   EXPECT_EQ(engine.serve(WhatIfCascadeQuery{{huge}}).status, Status::BadRequest);
   EXPECT_EQ(engine.serve(WhatIfCascadeQuery{{0}, -0.1}).status, Status::BadRequest);
+  EXPECT_EQ(engine.serve(WhatIfCascadeQuery{{0}, kNaN}).status, Status::BadRequest);
+  EXPECT_EQ(engine.serve(WhatIfCascadeQuery{{0}, kInf}).status, Status::BadRequest);
+  EXPECT_EQ(engine.serve(WhatIfCascadeQuery{{0}, -kInf}).status, Status::BadRequest);
   EXPECT_EQ(engine.serve(WhatIfCascadeQuery{{0}, 0.25, 0}).status, Status::BadRequest);
   EXPECT_EQ(engine.serve(WhatIfCascadeQuery{{0}, 0.25, 65}).status, Status::BadRequest);
 }
@@ -505,6 +528,9 @@ TEST(ServeEngine, WhatIfCascadeCanonicalKeyCollapsesEquivalentCutSets) {
   const WhatIfCascadeQuery shorter{{5, 2, 9}, 0.25, 4};
   EXPECT_NE(canonical_key(Request{a}), canonical_key(Request{tighter}));
   EXPECT_NE(canonical_key(Request{a}), canonical_key(Request{shorter}));
+  const WhatIfCascadeQuery nearly{{5, 2, 9}, 0.2500001, 8};
+  EXPECT_NE(canonical_key(Request{a}), canonical_key(Request{nearly}));
+  EXPECT_EQ(canonical_key(Request{a}), "cascade:2,5,9;m=0.25;r=8");
 }
 
 }  // namespace
