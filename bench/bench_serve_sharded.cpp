@@ -53,7 +53,7 @@ std::vector<serve::Request> script() {
       serve::HammingNeighborsQuery{"AT&T", 3},
   };
   for (const auto target : targets) {
-    out.push_back(serve::WhatIfCutQuery{{target}});
+    out.emplace_back(serve::WhatIfCutQuery{{target}});
   }
   return out;
 }

@@ -49,7 +49,7 @@ struct ShardedOptions {
   bool pin_cores = false;
   /// Per-shard engine knobs.  max_pending and the cache capacity are per
   /// shard, so the fleet-wide admission bound is shards * max_pending.
-  EngineOptions engine;
+  EngineOptions engine{};
 };
 
 class ShardedEngine {

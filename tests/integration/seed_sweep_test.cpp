@@ -94,7 +94,9 @@ TEST_P(SeedSweep, LatencyOrderingInvariants) {
     EXPECT_LE(pair.los_ms, pair.row_ms + 1e-9);
     // row_ms is +inf when the ROW graph cannot connect the pair; only
     // reachable pairs admit the ROW <= best comparison.
-    if (pair.row_reachable) EXPECT_LE(pair.row_ms, pair.best_ms + 1e-9);
+    if (pair.row_reachable) {
+      EXPECT_LE(pair.row_ms, pair.best_ms + 1e-9);
+    }
     EXPECT_LE(pair.best_ms, pair.avg_ms + 1e-9);
   }
   EXPECT_GT(study.fraction_best_is_row, 0.35);

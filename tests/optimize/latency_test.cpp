@@ -36,7 +36,9 @@ TEST(LatencyStudy, OrderingInvariants) {
     EXPECT_LE(pair.los_ms, pair.row_ms + 1e-9);
     // +inf row_ms (ROW-unreachable) trivially satisfies LOS <= ROW but
     // says nothing about ROW vs best.
-    if (pair.row_reachable) EXPECT_LE(pair.row_ms, pair.best_ms + 1e-9);
+    if (pair.row_reachable) {
+      EXPECT_LE(pair.row_ms, pair.best_ms + 1e-9);
+    }
     EXPECT_LE(pair.best_ms, pair.avg_ms + 1e-9);
     EXPECT_GT(pair.path_count, 0u);
   }

@@ -164,7 +164,7 @@ TEST(PropServeSharded, OracleDetectsACorruptedShardWorld) {
   serve::Engine single(single_store, serial);
 
   bool diverged = false;
-  for (const serve::Request request :
+  for (const serve::Request& request :
        {serve::Request{serve::TopConduitsQuery{8}},
         serve::Request{serve::WhatIfCutQuery{{0}}}}) {
     if (response_mismatch(sharded.serve(request), single.serve(request))) diverged = true;
