@@ -1,10 +1,10 @@
 // Microbenchmarks for the shared routing core (src/route/): cold Dijkstra
-// on the compiled CSR graph, memoized reroute lookups, and the
-// deterministic parallel fan-out at 1/2/4/8 threads.
+// on the compiled CSR graph, the zero-allocation steady state, the
+// deterministic parallel fan-out at 1/2/4/8 threads, and the Fig-10
+// planner end to end.
 //
 // Not a paper figure — this is the perf harness for the engine every
-// mitigation analysis (Fig 10/11, Table 5, §5.3) now runs on.  The
-// acceptance bar: a warm memoized query beats a cold Dijkstra by >= 10x.
+// mitigation analysis (Fig 10/11, Table 5, §5.3) now runs on.
 //
 // Extra flag: `--trials=small` shrinks benchmark min-time for CI smoke
 // runs (it rewrites to --benchmark_min_time=0.01 before the native flags
@@ -14,7 +14,6 @@
 
 #include "bench_support.hpp"
 #include "optimize/robustness.hpp"
-#include "route/cache.hpp"
 #include "route/path_engine.hpp"
 #include "sim/executor.hpp"
 #include "util/alloc.hpp"
@@ -58,23 +57,6 @@ void BM_ColdRerouteQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_ColdRerouteQuery)->Unit(benchmark::kMicrosecond);
 
-void BM_MemoizedRerouteQuery(benchmark::State& state) {
-  const auto& map = bench::map();
-  static route::MemoizedRouter router(/*capacity=*/1 << 14);
-  // Warm every key once so the loop measures steady-state hits.
-  for (const auto& conduit : map.conduits()) {
-    router.route(engine(), conduit.a, conduit.b, {conduit.id});
-  }
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const auto& conduit = map.conduits()[i % map.conduits().size()];
-    const auto path = router.route(engine(), conduit.a, conduit.b, {conduit.id});
-    benchmark::DoNotOptimize(path->cost);
-    ++i;
-  }
-}
-BENCHMARK(BM_MemoizedRerouteQuery)->Unit(benchmark::kMicrosecond);
-
 /// The zero-allocation steady state: warmed workspace, reused mask and
 /// Path output buffers, reroute via the into-caller-buffer overload.
 /// allocs_per_query is the tracked counter — 0 is the DESIGN.md §14
@@ -111,8 +93,8 @@ void BM_SteadyStateReroute(benchmark::State& state) {
 BENCHMARK(BM_SteadyStateReroute)->Unit(benchmark::kMicrosecond);
 
 /// The Fig-10 fan-out shape: one reroute per conduit, parallelized over
-/// the executor with ordered reduction (cold cache each iteration, so the
-/// timing measures the engine + executor, not the memoization).
+/// the executor with ordered reduction (every query is a cold Dijkstra,
+/// so the timing measures the engine + executor).
 void BM_RerouteFanout(benchmark::State& state) {
   const auto& map = bench::map();
   sim::Executor executor(static_cast<std::size_t>(state.range(0)));
@@ -131,7 +113,7 @@ void BM_RerouteFanout(benchmark::State& state) {
 BENCHMARK(BM_RerouteFanout)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 
 /// End-to-end Fig-10 workload on the shared planner: summary + network
-/// wide gain, everything memoized within one planner.
+/// wide gain, both answered from one planner's forest table.
 void BM_RobustnessPlannerEndToEnd(benchmark::State& state) {
   const auto targets = bench::risk_matrix().most_shared_conduits(12);
   for (auto _ : state) {

@@ -38,7 +38,8 @@ import sys
 #   * serve engine throughput (queries/sec via items_per_second),
 #   * serve + route allocations per query (the zero-alloc guarantee),
 #   * sim campaign throughput (trials/sec via items_per_second),
-#   * route engine reroute latency (cold + memoized + steady-state, cpu_time),
+#   * route engine reroute latency (cold + steady-state + fan-out, cpu_time),
+#   * the Fig-10 robustness planner end to end (cpu_time),
 #   * dissect all-pairs sweep throughput (pairs_per_second counter),
 #   * cascade campaign throughput (trials_per_second counter).
 TRACKED = [
@@ -49,6 +50,7 @@ TRACKED = [
     ("bench_route_engine", r".*Reroute.*", "allocs_per_query", False),
     ("bench_sim_campaign", r".*", "items_per_second", True),
     ("bench_route_engine", r".*Reroute.*", "cpu_time", False),
+    ("bench_route_engine", r"BM_RobustnessPlannerEndToEnd", "cpu_time", False),
     ("bench_dissect", r"BM_(AllPairsBatched|DissectionSweep).*", "pairs_per_second", True),
     ("bench_cascade", r"BM_CascadeCampaign.*", "trials_per_second", True),
     ("bench_worldgen", r"BM_(GenerateWorld|StrictIngest|RiskMatrix|SnapshotBuild)/(1|10)$",

@@ -69,12 +69,10 @@ GapClosingResult close_gaps(const core::FiberMap& map, const transport::CityData
   }
 
   GapClosingResult result;
-  std::uint64_t epoch = 0;
   for (;;) {
     // Exact state of the current build: one batched sweep, then the gap
-    // list.  (Rebuild bumps the epoch so workspaces and memo keys from
-    // the previous build can never alias this one.)
-    const route::PathEngine engine(static_cast<route::NodeId>(cities.size()), edges, epoch);
+    // list.
+    const route::PathEngine engine(static_cast<route::NodeId>(cities.size()), edges);
     const route::DistanceMatrix rows = engine.distance_rows(sources, {}, executor);
 
     std::vector<GapPair> gaps;
@@ -89,7 +87,7 @@ GapClosingResult close_gaps(const core::FiberMap& map, const transport::CityData
       }
     }
 
-    if (epoch == 0) {
+    if (result.steps.empty()) {
       result.excess_ms_before = total_excess;
       result.gap_pairs_before = gaps.size();
     } else {
@@ -144,7 +142,6 @@ GapClosingResult close_gaps(const core::FiberMap& map, const transport::CityData
     edges.push_back({won.a, won.b, won.length_km});
     result.steps.push_back({won.id, won.length_km, 0.0, 0});
     candidates.erase(candidates.begin() + static_cast<std::ptrdiff_t>(best));
-    ++epoch;
   }
   return result;
 }

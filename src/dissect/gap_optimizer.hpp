@@ -15,7 +15,7 @@
 //
 // and every term is a cell of the DistanceMatrix.  Each greedy step
 // scores all candidates (fanned out on the executor), commits the best,
-// rebuilds the engine with a bumped epoch, and re-sweeps — so chains of
+// rebuilds the engine with the new edge, and re-sweeps — so chains of
 // corridors emerge across steps even though each step adds one edge.
 #pragma once
 

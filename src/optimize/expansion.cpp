@@ -29,18 +29,14 @@ struct ExpansionGraph {
   std::vector<route::EdgeSpec> edges;  ///< weight = sharing + 1e-4·length
   std::vector<double> sharing;         ///< risk term per edge, index = edge id
   std::unique_ptr<route::PathEngine> engine;
-  std::uint64_t epoch = 0;
 
   void add_edge(CityId a, CityId b, double length_km, double shr) {
     edges.push_back({a, b, shr + 1e-4 * length_km});
     sharing.push_back(shr);
   }
 
-  /// Recompile after committing edges; bumps the epoch so any memoized
-  /// results keyed on the previous build go stale.
-  void rebuild() {
-    engine = std::make_unique<route::PathEngine>(num_nodes, edges, ++epoch);
-  }
+  /// Recompile after committing edges.
+  void rebuild() { engine = std::make_unique<route::PathEngine>(num_nodes, edges); }
 };
 
 /// Sharing (risk) of one new-conduit overlay edge: a private conduit has

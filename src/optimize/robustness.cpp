@@ -65,7 +65,9 @@ std::shared_ptr<const route::Path> RobustnessPlanner::route_around(ConduitId tar
   }
   const auto& conduit = map_.conduit(target);
   const std::vector<route::EdgeId> mask{target};
-  return router_.route(engine_, conduit.a, conduit.b, mask);
+  route::Query query;
+  query.masked = &mask;
+  return std::make_shared<const route::Path>(engine_.shortest_path(conduit.a, conduit.b, query));
 }
 
 RerouteSuggestion RobustnessPlanner::build_suggestion(ConduitId target, IspId isp) const {
@@ -136,7 +138,7 @@ std::vector<IspRobustnessSummary> RobustnessPlanner::summarize_robustness(
     const std::vector<ConduitId>& targets, sim::Executor& executor) const {
   ensure_forest(&executor);
   // Slot i holds ISP i's summary: each summary is a pure function of the
-  // (memoized) per-target suggestions, which are themselves deterministic,
+  // per-target suggestions, which are themselves deterministic,
   // so this is bit-identical to the serial overload for any thread count.
   return executor.parallel_map<IspRobustnessSummary>(
       map_.num_isps(),

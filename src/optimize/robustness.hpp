@@ -13,21 +13,23 @@
 //
 // All path queries run on a shared route::PathEngine (the conduit graph
 // compiled once; weight = tenant count + 1e-4·length so equally-risky
-// paths prefer shorter fiber) with reroute memoization: the optimized
-// path around a conduit does not depend on which ISP asks, so one cached
-// Dijkstra serves every tenant of a target and every analysis that
-// touches it.  Construct a RobustnessPlanner once and reuse it across
-// summarize/peering/network-wide calls to share the cache; the free
-// functions below are single-shot wrappers that build a private planner.
+// paths prefer shorter fiber).  The optimized path around a conduit does
+// not depend on which ISP asks, so the batch entry points answer every
+// target from one table of route_forest rows (one Dijkstra per distinct
+// conduit endpoint), and only a target whose cheapest path is the target
+// itself pays a masked point query.  Construct a RobustnessPlanner once
+// and reuse it across summarize/peering/network-wide calls to share the
+// table; the free functions below are single-shot wrappers that build a
+// private planner.
 #pragma once
 
 #include <atomic>
+#include <memory>
 #include <mutex>
 #include <vector>
 
 #include "core/fiber_map.hpp"
 #include "risk/risk_matrix.hpp"
-#include "route/cache.hpp"
 #include "route/path_engine.hpp"
 
 namespace intertubes::sim {
@@ -79,7 +81,7 @@ struct NetworkWideGain {
 };
 
 /// Shared state for a batch of robustness analyses: the compiled conduit
-/// graph plus the memoized reroute cache.  Thread-safe after construction
+/// graph plus the forest reroute table.  Thread-safe after construction
 /// — the parallel overloads fan work out over a sim::Executor and reduce
 /// in index order, so their output is bit-identical to the serial
 /// overloads for any thread count.
@@ -89,7 +91,9 @@ class RobustnessPlanner {
 
   /// Equation 1 for one (conduit, ISP): minimize the summed shared-risk
   /// of the path between the conduit's endpoints, excluding the target
-  /// conduit itself.  Memoized per target (the path is ISP-independent).
+  /// conduit itself.  The path is ISP-independent: after a batch entry
+  /// point it comes from the forest table, before one it is a masked
+  /// point query.
   RerouteSuggestion suggest_reroute(core::ConduitId target, isp::IspId isp) const;
 
   std::vector<IspRobustnessSummary> summarize_robustness(
@@ -104,10 +108,10 @@ class RobustnessPlanner {
   NetworkWideGain network_wide_gain(std::size_t top_count, sim::Executor& executor) const;
 
   const route::PathEngine& engine() const noexcept { return engine_; }
-  route::PathCacheStats cache_stats() const { return router_.stats(); }
 
  private:
-  /// The memoized min-risk path between target's endpoints avoiding it.
+  /// The min-risk path between target's endpoints avoiding it: the forest
+  /// table's entry when there is one, else a masked point query.
   std::shared_ptr<const route::Path> route_around(core::ConduitId target) const;
   RerouteSuggestion build_suggestion(core::ConduitId target, isp::IspId isp) const;
 
@@ -116,15 +120,15 @@ class RobustnessPlanner {
   /// whose unmasked shortest path does not ride the target itself (the
   /// canonical tie-breaks freeze those paths, so masking the unused edge
   /// changes nothing).  Targets whose endpoints' best path IS the direct
-  /// edge keep the memoized masked point query.  Bit-identical to the
+  /// edge keep the masked point query.  Bit-identical to the
   /// query-per-target path; batch entry points call this, the single-shot
-  /// suggest_reroute stays lazy-free.
+  /// suggest_reroute never builds it (one forest costs hundreds of point
+  /// queries).
   void ensure_forest(sim::Executor* executor) const;
 
   const core::FiberMap& map_;
   const risk::RiskMatrix& matrix_;
   route::PathEngine engine_;
-  mutable route::MemoizedRouter router_;
 
   mutable std::once_flag forest_once_;
   mutable std::atomic<bool> forest_built_{false};

@@ -25,8 +25,8 @@ void PathEngine::Workspace::prepare(std::size_t num_nodes, std::size_t num_edges
   ++generation_;
 }
 
-PathEngine::PathEngine(NodeId num_nodes, std::vector<EdgeSpec> edges, std::uint64_t epoch)
-    : num_nodes_(num_nodes), edges_(std::move(edges)), epoch_(epoch) {
+PathEngine::PathEngine(NodeId num_nodes, std::vector<EdgeSpec> edges)
+    : num_nodes_(num_nodes), edges_(std::move(edges)) {
   for (const EdgeSpec& e : edges_) {
     IT_CHECK(e.a < num_nodes_ && e.b < num_nodes_);
   }

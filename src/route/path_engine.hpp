@@ -162,11 +162,8 @@ class PathEngine {
   };
 
   /// Compile the CSR adjacency.  Edge ids are indices into `edges`.
-  /// `epoch` identifies this build of the graph for memoization keys; a
-  /// rebuilt graph must carry a different epoch.
-  PathEngine(NodeId num_nodes, std::vector<EdgeSpec> edges, std::uint64_t epoch = 0);
+  PathEngine(NodeId num_nodes, std::vector<EdgeSpec> edges);
 
-  std::uint64_t epoch() const noexcept { return epoch_; }
   std::size_t num_nodes() const noexcept { return num_nodes_; }
   std::size_t num_edges() const noexcept { return edges_.size(); }
   const EdgeSpec& edge(EdgeId id) const;
@@ -248,7 +245,6 @@ class PathEngine {
   std::vector<std::uint32_t> offsets_;
   std::vector<NodeId> targets_;
   std::vector<EdgeId> edge_ids_;
-  std::uint64_t epoch_ = 0;
 
   mutable util::LeasePool<Workspace> pool_;
 };

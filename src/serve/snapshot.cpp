@@ -126,21 +126,14 @@ void Snapshot::derive() {
   sharing_table_ = matrix_.conduits_shared_by_at_least();
   risk_ranking_ = matrix_.isp_risk_ranking();
   soa_ = derive_soa(map_, matrix_, risk_ranking_, world_.cities->size());
-  // Compile the conduit graph for city-pair path queries.  The snapshot's
-  // publish epoch isn't assigned yet, so stamp the engine with a
-  // process-unique generation instead: a route::MemoizedRouter reused
-  // across live-updated snapshots (the delta/RCU path) keys on
-  // engine.epoch(), and two epochs sharing generation 0 would serve each
-  // other's stale paths.
-  static std::atomic<std::uint64_t> next_generation{1};
+  // Compile the conduit graph for city-pair path queries.
   std::vector<route::EdgeSpec> edges;
   edges.reserve(map_.conduits().size());
   for (const auto& conduit : map_.conduits()) {
     edges.push_back({conduit.a, conduit.b, conduit.length_km});
   }
   path_engine_ = std::make_shared<const route::PathEngine>(
-      static_cast<route::NodeId>(world_.cities->size()), std::move(edges),
-      next_generation.fetch_add(1, std::memory_order_relaxed));
+      static_cast<route::NodeId>(world_.cities->size()), std::move(edges));
   // After this, every const query on the map is write-free and may run
   // from any number of threads concurrently.
   map_.prepare_for_concurrent_reads();

@@ -17,8 +17,9 @@
 //      value-based tie-break contract).
 //   O3 override_rebuild_property — weight_override vs a rebuilt engine
 //      carrying the overridden weights: bit-identical paths.
-//   O4 memoized_reroute_property — MemoizedRouter across an epoch bump vs
-//      cold engine queries: bit-identical, stale epochs never leak.
+//   O4 planner_reroute_property  — RobustnessPlanner::suggest_reroute vs a
+//      masked shortest_path on a separately compiled engine, before and
+//      after the planner builds its forest table: identical edge lists.
 //   O5 campaign_bit_identity_property — sim::CampaignEngine on Executor(1)
 //      vs Executor(4): byte-identical CampaignReport.
 //   O6 gain_bit_identity_property — network_wide_gain serial vs parallel.
@@ -40,7 +41,6 @@
 #include "prop/generators.hpp"
 #include "prop/prop.hpp"
 #include "risk/risk_matrix.hpp"
-#include "route/cache.hpp"
 #include "route/path_engine.hpp"
 #include "serve/snapshot.hpp"
 #include "sim/campaign.hpp"
@@ -66,7 +66,7 @@ enum class Fault {
   ReferenceIgnoresMask,    ///< O1: reference routes through masked edges
   RebuildDropsOverlay,     ///< O2: rebuilt engine omits the last overlay edge
   OverrideLeaksBaseWeight, ///< O3: rebuilt engine keeps one base weight
-  SkipEpochBump,           ///< O4: rebuilt graph reuses the old epoch
+  RerouteReferenceIgnoresMask, ///< O4: reference reroute keeps the target conduit
   TamperSerialReport,      ///< O5: perturb one point of the serial report
   TamperParallelGain,      ///< O6: perturb the parallel gain result
   MiscountSeveredLinks,    ///< O7: off-by-one severed-link expectation
@@ -249,58 +249,50 @@ inline prop::Property<prop::GraphCase> override_rebuild_property(Fault fault = F
   };
 }
 
-// --- O4: memoization across epoch bumps --------------------------------
+// --- O4: planner reroutes vs masked point queries ----------------------
 
-inline prop::Property<prop::MapSpec> memoized_reroute_property(Fault fault = Fault::None) {
+inline prop::Property<prop::MapSpec> planner_reroute_property(Fault fault = Fault::None) {
   return [fault](const prop::MapSpec& spec) -> std::optional<std::string> {
     const auto map = prop::build_fiber_map(spec);
     if (map.conduits().size() == 0) return std::nullopt;
-    const auto edges_for = [&map](double scale) {
-      std::vector<route::EdgeSpec> edges;
-      for (const auto& conduit : map.conduits()) {
-        edges.push_back({conduit.a, conduit.b, conduit.length_km * scale});
+    const auto matrix = risk::RiskMatrix::from_map(map);
+    const optimize::RobustnessPlanner planner(map, matrix);
+
+    // The planner's weight recipe, compiled here from the tenant lists.
+    std::vector<route::EdgeSpec> edges;
+    for (const auto& conduit : map.conduits()) {
+      edges.push_back({conduit.a, conduit.b,
+                       static_cast<double>(conduit.tenants.size()) + 1e-4 * conduit.length_km});
+    }
+    const route::PathEngine reference(static_cast<route::NodeId>(spec.num_cities),
+                                      std::move(edges));
+
+    const auto render = [](const std::vector<route::EdgeId>& ids) {
+      std::string out = "{";
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        out += (i == 0 ? "" : ",") + std::to_string(ids[i]);
       }
-      return edges;
+      return out + "}";
     };
-    route::MemoizedRouter router;
-    const auto check_all = [&](const route::PathEngine& engine) -> std::optional<std::string> {
+    const auto check_all = [&](const std::string& when) -> std::optional<std::string> {
       for (const auto& conduit : map.conduits()) {
-        std::vector<route::EdgeId> mask{conduit.id};
-        const auto warm_detour = router.route(engine, conduit.a, conduit.b, mask);
-        const auto cold_detour = engine.shortest_path(
-            conduit.a, conduit.b, [&] {
-              route::Query q;
-              q.masked = &mask;
-              return q;
-            }());
-        if (auto diff = compare_paths(*warm_detour, cold_detour,
-                                      "memoized detour around conduit " +
-                                          std::to_string(conduit.id) + " @epoch " +
-                                          std::to_string(engine.epoch()))) {
-          return diff;
-        }
-        const auto warm_direct = router.route(engine, conduit.a, conduit.b);
-        const auto cold_direct = engine.shortest_path(conduit.a, conduit.b);
-        if (auto diff = compare_paths(*warm_direct, cold_direct,
-                                      "memoized direct path of conduit " +
-                                          std::to_string(conduit.id) + " @epoch " +
-                                          std::to_string(engine.epoch()))) {
-          return diff;
+        const std::vector<route::EdgeId> mask{conduit.id};
+        route::Query query;
+        if (fault != Fault::RerouteReferenceIgnoresMask) query.masked = &mask;
+        const auto expected = reference.shortest_path(conduit.a, conduit.b, query);
+        // The reroute does not depend on which ISP asks.
+        const auto got = planner.suggest_reroute(conduit.id, 0);
+        if (got.optimized_path != expected.edges) {
+          return when + ": reroute around conduit " + std::to_string(conduit.id) + " is " +
+                 render(got.optimized_path) + ", masked reference " + render(expected.edges);
         }
       }
       return std::nullopt;
     };
 
-    const route::PathEngine v1(static_cast<route::NodeId>(spec.num_cities), edges_for(1.0), 1);
-    if (auto diff = check_all(v1)) return diff;
-    if (auto diff = check_all(v1)) return diff;  // pure warm replay
-    // The rebuild: every weight doubles.  A correctly keyed cache can
-    // never serve a v1 path for a v2 query.
-    const std::uint64_t v2_epoch = fault == Fault::SkipEpochBump ? 1 : 2;
-    const route::PathEngine v2(static_cast<route::NodeId>(spec.num_cities), edges_for(2.0),
-                               v2_epoch);
-    if (auto diff = check_all(v2)) return diff;
-    return std::nullopt;
+    if (auto diff = check_all("fresh planner")) return diff;
+    planner.network_wide_gain(3);  // builds the forest table
+    return check_all("after network_wide_gain");
   };
 }
 

@@ -108,8 +108,8 @@ TEST(PropDissect, DistanceRowsThreadCountInvariant) {
 
 TEST(PropDissect, DistanceRowsOverlayMatchesRebuiltGraphBitwise) {
   // An overlay passed to the batched sweep must equal rebuilding the
-  // graph with those edges baked in (same epoch-bump pattern the gap
-  // optimizer uses when it commits a winning corridor).
+  // graph with those edges baked in (the rebuild the gap optimizer does
+  // when it commits a winning corridor).
   const prop::Property<prop::GraphCase> property =
       [](const prop::GraphCase& c) -> std::optional<std::string> {
     if (c.overlay.empty()) return std::nullopt;
@@ -121,7 +121,7 @@ TEST(PropDissect, DistanceRowsOverlayMatchesRebuiltGraphBitwise) {
 
     auto edges = c.edges;
     edges.insert(edges.end(), c.overlay.begin(), c.overlay.end());
-    const route::PathEngine rebuilt(c.num_nodes, edges, /*epoch=*/1);
+    const route::PathEngine rebuilt(c.num_nodes, edges);
     const auto baked = rebuilt.distance_rows(sources);
     if (overlaid.cells != baked.cells) return "overlay rows differ from rebuilt-graph rows";
     return std::nullopt;

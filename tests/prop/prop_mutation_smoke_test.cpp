@@ -78,11 +78,11 @@ TEST(PropMutationSmoke, DetectsLeakedBaseWeight) {
   });
 }
 
-TEST(PropMutationSmoke, DetectsSkippedEpochBump) {
+TEST(PropMutationSmoke, DetectsRerouteReferenceIgnoringMask) {
   expect_fault_detected([](const prop::Config& config) {
-    return prop::check<prop::MapSpec>("smoke_skip_epoch_bump", prop::fiber_maps(),
-                                      oracles::memoized_reroute_property(Fault::SkipEpochBump),
-                                      config);
+    return prop::check<prop::MapSpec>(
+        "smoke_reroute_reference_ignores_mask", prop::fiber_maps(),
+        oracles::planner_reroute_property(Fault::RerouteReferenceIgnoresMask), config);
   });
 }
 

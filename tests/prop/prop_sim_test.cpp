@@ -2,7 +2,8 @@
 // fan-out of campaigns and of the network-wide robustness scan must be
 // byte-identical to their serial runs for any thread count — not just on
 // the canonical scenario the unit tests pin, but across the whole space
-// of valid maps the generators can produce.
+// of valid maps the generators can produce.  The planner's reroutes that
+// feed the scan are checked against masked point queries alongside.
 #include <gtest/gtest.h>
 
 #include "oracles.hpp"
@@ -22,6 +23,11 @@ TEST(PropSim, CampaignReportsBitIdenticalAcrossExecutors) {
 TEST(PropSim, NetworkWideGainBitIdenticalAcrossExecutors) {
   EXPECT_PROP(prop::check<prop::MapSpec>("network_gain_parallel_vs_serial", prop::fiber_maps(),
                                          oracles::gain_bit_identity_property()));
+}
+
+TEST(PropSim, PlannerReroutesMatchMaskedPointQueries) {
+  EXPECT_PROP(prop::check<prop::MapSpec>("planner_reroute_vs_masked_query", prop::fiber_maps(),
+                                         oracles::planner_reroute_property()));
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 #include "optimize/latency.hpp"
 #include "optimize/robustness.hpp"
 #include "risk/risk_matrix.hpp"
-#include "route/cache.hpp"
 #include "sim/executor.hpp"
 #include "test_support.hpp"
 #include "transport/network.hpp"
@@ -22,14 +21,13 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Diamond with a decoy: 0-1 direct (heavy), 0-2-1 (cheap), 0-3-1 (dear).
-PathEngine diamond(std::uint64_t epoch = 0) {
+PathEngine diamond() {
   return PathEngine(4,
                     {{0, 1, 10.0},   // e0
                      {0, 2, 4.0},    // e1
                      {2, 1, 4.0},    // e2
                      {0, 3, 5.0},    // e3
-                     {3, 1, 5.0}},   // e4
-                    epoch);
+                     {3, 1, 5.0}});  // e4
 }
 
 TEST(PathEngine, ShortestPathPicksCheapDetour) {
@@ -139,58 +137,6 @@ TEST(PathEngine, WorkspaceReuseIsStateless) {
     ASSERT_EQ(again.edges, first.edges);
     ASSERT_EQ(again.cost, first.cost);
   }
-}
-
-TEST(RouteCache, SecondLookupHits) {
-  const auto engine = diamond();
-  MemoizedRouter router;
-  const auto first = router.route(engine, 0, 1);
-  const auto second = router.route(engine, 0, 1);
-  EXPECT_EQ(first.get(), second.get());  // same shared immutable path
-  const auto stats = router.stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-}
-
-TEST(RouteCache, MaskIsPartOfTheKey) {
-  const auto engine = diamond();
-  MemoizedRouter router;
-  const auto plain = router.route(engine, 0, 1);
-  const auto masked = router.route(engine, 0, 1, {1});
-  EXPECT_NE(plain->cost, masked->cost);
-  EXPECT_EQ(router.stats().misses, 2u);
-  // Repeating each hits.
-  router.route(engine, 0, 1);
-  router.route(engine, 0, 1, {1});
-  EXPECT_EQ(router.stats().hits, 2u);
-}
-
-TEST(RouteCache, EpochChangeInvalidatesImplicitly) {
-  MemoizedRouter router;
-  const auto before = router.route(diamond(0), 0, 1);
-  EXPECT_DOUBLE_EQ(before->cost, 8.0);
-  // Rebuilt world: same topology, the detour got expensive, new epoch.
-  const PathEngine rebuilt(4, {{0, 1, 10.0}, {0, 2, 40.0}, {2, 1, 40.0}, {0, 3, 50.0}, {3, 1, 50.0}},
-                           1);
-  const auto after = router.route(rebuilt, 0, 1);
-  EXPECT_DOUBLE_EQ(after->cost, 10.0);  // a hit on the stale key would say 8
-  EXPECT_EQ(router.stats().misses, 2u);
-  EXPECT_EQ(router.size(), 2u);
-  EXPECT_EQ(router.purge_stale(1), 1u);
-  EXPECT_EQ(router.size(), 1u);
-}
-
-TEST(RouteCache, EvictsLeastRecentlyUsed) {
-  PathCache cache(/*capacity=*/2, /*num_shards=*/1);
-  const auto path = std::make_shared<const Path>();
-  cache.put({0, 0, 1, 0}, path);
-  cache.put({0, 0, 2, 0}, path);
-  ASSERT_TRUE(cache.get({0, 0, 1, 0}).has_value());  // refresh key 1
-  cache.put({0, 0, 3, 0}, path);                     // evicts key 2
-  EXPECT_TRUE(cache.get({0, 0, 1, 0}).has_value());
-  EXPECT_FALSE(cache.get({0, 0, 2, 0}).has_value());
-  EXPECT_TRUE(cache.get({0, 0, 3, 0}).has_value());
-  EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
 // ---- determinism at scenario scale ----

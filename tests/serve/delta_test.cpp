@@ -12,7 +12,6 @@
 #include <stdexcept>
 
 #include "core/dataset_io.hpp"
-#include "route/cache.hpp"
 #include "test_support.hpp"
 
 namespace intertubes::serve {
@@ -278,41 +277,6 @@ TEST(ServeDelta, AddedConduitsShowUpInDerivedArtifacts) {
   // A 3-tenant conduit moves the >=3 bucket ([k-1] indexing) of the
   // Fig. 6 sharing table.
   EXPECT_EQ(next->sharing_table()[2], base.sharing_table()[2] + 1);
-}
-
-TEST(ServeDelta, RerouteMemoizationNeverLeaksAcrossEpochs) {
-  // Snapshots carry process-unique path-engine generations, so one
-  // MemoizedRouter reused across live updates (the delta/RCU scenario)
-  // can never serve epoch N's path to epoch N+1 — even when the cut
-  // changes the best route.
-  const auto& base = *base_snapshot();
-  const auto corridors = shared_corridors();
-  LiveMap live(base_snapshot());
-  DeltaBatch batch;
-  batch.cut = {corridors[0]};
-  const auto next = live.apply(batch);
-  ASSERT_NE(base.path_engine().epoch(), next->path_engine().epoch());
-
-  route::MemoizedRouter router;
-  const auto& soa = base.soa();
-  std::size_t divergent = 0;
-  for (std::size_t c = 0; c + 1 < std::min<std::size_t>(soa.conduit_a.size(), 64); ++c) {
-    const auto from = soa.conduit_a[c];
-    const auto to = soa.conduit_b[c + 1];
-    const auto before = router.route(base.path_engine(), from, to);
-    const auto after = router.route(next->path_engine(), from, to);
-    // The memoized answers must equal cold queries on each epoch's own
-    // engine — a stale hit would surface here as a cost mismatch.
-    const auto cold_after = next->path_engine().shortest_path(from, to, {});
-    EXPECT_EQ(after->reachable, cold_after.reachable);
-    EXPECT_EQ(after->cost, cold_after.cost);
-    if (before->reachable != after->reachable || before->cost != after->cost) ++divergent;
-  }
-  // The cut corridor was one of the most-shared: some route must actually
-  // have changed, or this test proves nothing.
-  EXPECT_GT(divergent, 0u);
-  // Old-epoch entries are reclaimable once the new epoch is current.
-  EXPECT_GT(router.purge_stale(next->path_engine().epoch()), 0u);
 }
 
 }  // namespace
