@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace intertubes::serve {
 
@@ -33,11 +34,8 @@ struct CacheKey {
 
 struct CacheKeyHash {
   std::size_t operator()(const CacheKey& key) const noexcept {
-    // splitmix-style scramble of the epoch folded into the string hash.
-    std::uint64_t h = key.epoch + 0x9e3779b97f4a7c15ull;
-    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
-    h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
-    return std::hash<std::string>{}(key.request) ^ static_cast<std::size_t>(h ^ (h >> 31));
+    // Scrambled epoch folded into the string hash.
+    return std::hash<std::string>{}(key.request) ^ static_cast<std::size_t>(mix64(key.epoch));
   }
 };
 

@@ -4,19 +4,11 @@
 #include <stdexcept>
 
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace intertubes::serve {
 
 namespace {
-
-/// Finalizing mix on top of std::hash so a weak string hash still spreads
-/// over small shard counts.
-std::uint64_t mix(std::uint64_t h) noexcept {
-  h += 0x9e3779b97f4a7c15ull;
-  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
-  h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
-  return h ^ (h >> 31);
-}
 
 sim::ExecutorOptions executor_options(const ShardedOptions& options, std::size_t index) {
   sim::ExecutorOptions out;
@@ -71,7 +63,9 @@ std::size_t ShardedEngine::deltas_applied() const {
 }
 
 std::size_t ShardedEngine::shard_of(const Request& request) const {
-  return mix(std::hash<std::string>{}(canonical_key(request))) % shards_.size();
+  // mix64 on top of std::hash so a weak string hash still spreads over
+  // small shard counts.
+  return mix64(std::hash<std::string>{}(canonical_key(request))) % shards_.size();
 }
 
 std::future<Response> ShardedEngine::submit(Request request) {
