@@ -70,12 +70,15 @@ std::vector<SearchHit> SearchIndex::query(std::string_view text, double min_matc
     hits.push_back({doc, scores[doc], frac});
   }
   // (score desc, doc asc) is a total order: the ranking does not depend on
-  // the order the hits were collected in.
-  std::sort(hits.begin(), hits.end(), [](const SearchHit& x, const SearchHit& y) {
-    if (x.score != y.score) return x.score > y.score;
-    return x.doc < y.doc;
-  });
-  if (hits.size() > limit) hits.resize(limit);
+  // the order the hits were collected in, and ordering only the first
+  // `limit` hits keeps exactly the list a full sort would.
+  const auto kept = static_cast<std::ptrdiff_t>(std::min(limit, hits.size()));
+  std::partial_sort(hits.begin(), hits.begin() + kept, hits.end(),
+                    [](const SearchHit& x, const SearchHit& y) {
+                      if (x.score != y.score) return x.score > y.score;
+                      return x.doc < y.doc;
+                    });
+  hits.resize(static_cast<std::size_t>(kept));
   return hits;
 }
 
