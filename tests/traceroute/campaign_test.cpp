@@ -6,27 +6,14 @@
 #include <set>
 
 #include "test_support.hpp"
+#include "traceroute/campaign_fixture.hpp"
 
 namespace intertubes::traceroute {
 namespace {
 
-const L3Topology& topo() {
-  static const L3Topology t = L3Topology::from_ground_truth(
-      testing::shared_scenario().truth(), core::Scenario::cities());
-  return t;
-}
-
-CampaignParams small_params() {
-  CampaignParams p;
-  p.seed = 0x1257;
-  p.num_probes = 60000;
-  return p;
-}
-
-const Campaign& campaign() {
-  static const Campaign c = run_campaign(topo(), core::Scenario::cities(), small_params());
-  return c;
-}
+const L3Topology& topo() { return testing::shared_l3_topology(); }
+CampaignParams small_params() { return testing::shared_campaign_params(); }
+const Campaign& campaign() { return testing::shared_campaign(); }
 
 TEST(Campaign, ProbesAccountedFor) {
   std::uint64_t flow_probes = 0;

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "test_support.hpp"
+#include "traceroute/campaign_fixture.hpp"
 
 namespace intertubes::traceroute {
 namespace {
@@ -12,11 +13,7 @@ namespace {
 using isp::IspId;
 using transport::CityId;
 
-const L3Topology& topo() {
-  static const L3Topology t = L3Topology::from_ground_truth(
-      testing::shared_scenario().truth(), core::Scenario::cities());
-  return t;
-}
+const L3Topology& topo() { return testing::shared_l3_topology(); }
 
 TEST(L3Topology, RoutersMatchLinkEndpoints) {
   const auto& truth = testing::shared_scenario().truth();

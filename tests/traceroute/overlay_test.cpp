@@ -5,27 +5,15 @@
 #include <algorithm>
 
 #include "test_support.hpp"
+#include "traceroute/campaign_fixture.hpp"
 
 namespace intertubes::traceroute {
 namespace {
 
 using core::ConduitId;
 
-const L3Topology& topo() {
-  static const L3Topology t = L3Topology::from_ground_truth(
-      testing::shared_scenario().truth(), core::Scenario::cities());
-  return t;
-}
-
-const Campaign& campaign() {
-  static const Campaign c = [] {
-    CampaignParams p;
-    p.seed = 0x1257;
-    p.num_probes = 60000;
-    return run_campaign(topo(), core::Scenario::cities(), p);
-  }();
-  return c;
-}
+const L3Topology& topo() { return testing::shared_l3_topology(); }
+const Campaign& campaign() { return testing::shared_campaign(); }
 
 const OverlayResult& overlay() {
   static const OverlayResult o =
