@@ -1,6 +1,7 @@
 // Golden-artifact regression tests: the Table 1 / Figure 6 / Figure 10
-// renderings of the canonical scenario and its serialized dataset, pinned
-// byte-for-byte against checked-in fixtures.  The renderers in
+// renderings of the canonical scenario, its serialized dataset and a small
+// traceroute campaign over it, pinned byte-for-byte against checked-in
+// fixtures.  The renderers in
 // src/artifact are the same code the bench harnesses print, so any
 // accounting change to the headline numbers must be made explicitly:
 // regenerate with
@@ -19,6 +20,8 @@
 #include "core/dataset_io.hpp"
 #include "risk/risk_matrix.hpp"
 #include "test_support.hpp"
+#include "traceroute/campaign.hpp"
+#include "traceroute/campaign_fixture.hpp"
 
 #ifndef INTERTUBES_GOLDEN_DIR
 #error "INTERTUBES_GOLDEN_DIR must be defined by the build"
@@ -80,6 +83,19 @@ TEST(GoldenArtifacts, DatasetBytes) {
   check_golden("dataset.golden",
                core::serialize_dataset(scenario.map(), core::Scenario::cities(), scenario.row(),
                                        scenario.truth().profiles()));
+}
+
+TEST(GoldenArtifacts, CampaignBytes) {
+  // A seed-0x1257 traceroute campaign over the canonical world: the flow
+  // order and counts, every hop's DNS name and decoded ISP, and the
+  // corridors under each route.
+  auto params = testing::shared_campaign_params();
+  params.num_probes = 400;
+  const auto& cities = core::Scenario::cities();
+  check_golden("campaign.golden",
+               traceroute::serialize_campaign(
+                   traceroute::run_campaign(testing::shared_l3_topology(), cities, params),
+                   cities));
 }
 
 TEST(GoldenArtifacts, RenderersAreDeterministic) {
