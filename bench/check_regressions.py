@@ -41,7 +41,9 @@ import sys
 #   * route engine reroute latency (cold + steady-state + fan-out, cpu_time),
 #   * the Fig-10 robustness planner end to end (cpu_time),
 #   * dissect all-pairs sweep throughput (pairs_per_second counter),
-#   * cascade campaign throughput (trials_per_second counter).
+#   * cascade campaign throughput (trials_per_second counter),
+#   * the 20 000-probe traceroute campaign (cpu_time; single-threaded, so
+#     CPU time is wall time).
 TRACKED = [
     ("bench_serve_engine", r".*", "items_per_second", True),
     ("bench_serve_engine", r"BM_Fast.*", "allocs_per_query", False),
@@ -55,6 +57,7 @@ TRACKED = [
     ("bench_cascade", r"BM_CascadeCampaign.*", "trials_per_second", True),
     ("bench_worldgen", r"BM_(GenerateWorld|StrictIngest|RiskMatrix|SnapshotBuild)/(1|10)$",
      "items_per_second", True),
+    ("bench_table23_topconduits", r"BM_CampaignRouting", "cpu_time", False),
 ]
 
 _NONFINITE_TOKEN = re.compile(r'(?<![\w."])-?(?:inf(?:inity)?|nan)(?![\w"])', re.IGNORECASE)

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <unordered_map>
 
 #include "util/check.hpp"
 #include "util/strings.hpp"
@@ -25,7 +23,24 @@ struct FlowKey {
     if (access != o.access) return access < o.access;
     return dst < o.dst;
   }
+  bool operator==(const FlowKey&) const noexcept = default;
 };
+
+struct FlowCount {
+  FlowKey key;
+  std::uint64_t count = 0;
+};
+
+/// The distinct keys of `probes` with their multiplicities, in key order.
+std::vector<FlowCount> count_flows(std::vector<FlowKey> probes) {
+  std::sort(probes.begin(), probes.end());
+  std::vector<FlowCount> flows;
+  for (const FlowKey& key : probes) {
+    if (flows.empty() || flows.back().key != key) flows.push_back({key, 0});
+    ++flows.back().count;
+  }
+  return flows;
+}
 
 }  // namespace
 
@@ -38,38 +53,68 @@ Campaign run_campaign(const L3Topology& topo, const transport::CityDatabase& cit
                       const std::vector<isp::IspProfile>& profiles,
                       const CampaignParams& params) {
   Rng rng(mix64(params.seed ^ 0x7ace1234ULL));
-  const NameDecoder decoder(cities, profiles);
   Campaign campaign;
 
   // Endpoint weights: population^gravity over cities that host routers
   // (sources need an access network; destinations need a POP to respond
-  // from).
+  // from).  Every weight is >= 0, so summing them all in index order gives
+  // the total weighted_pick(weights) would compute on each draw.
   std::vector<double> weights(cities.size(), 0.0);
+  double total_weight = 0.0;
   for (CityId c = 0; c < cities.size(); ++c) {
     if (topo.routers_in(c).empty()) continue;
     weights[c] =
         std::pow(static_cast<double>(cities.city(c).population), params.gravity_exponent);
+    total_weight += weights[c];
   }
 
   // Aggregate probe multiplicity per flow.
-  std::map<FlowKey, std::uint64_t> flow_counts;
+  std::vector<FlowKey> probes;
+  probes.reserve(params.num_probes);
   for (std::uint64_t i = 0; i < params.num_probes; ++i) {
-    const auto src = static_cast<CityId>(rng.weighted_pick(weights));
+    const auto src = static_cast<CityId>(rng.weighted_pick(weights, total_weight));
     CityId dst = src;
     for (int attempt = 0; attempt < 8 && dst == src; ++attempt) {
-      dst = static_cast<CityId>(rng.weighted_pick(weights));
+      dst = static_cast<CityId>(rng.weighted_pick(weights, total_weight));
     }
     if (dst == src) continue;
     const auto& access_candidates = topo.routers_in(src);
     const RouterIdx access =
         access_candidates[rng.next_below(access_candidates.size())];
-    ++flow_counts[FlowKey{src, access, dst}];
+    probes.push_back(FlowKey{src, access, dst});
   }
+  const std::vector<FlowCount> flow_counts = count_flows(std::move(probes));
   campaign.total_probes = params.num_probes;
 
+  // A router's names differ only in their salted "ae-N.crM." prefix, and
+  // the ISP that NameDecoder reads from a name depends only on its last
+  // two labels, the carrier's domain, which the suffix ends with.  Both are
+  // built once per router.
+  const NameDecoder decoder(cities, profiles);
+  std::vector<std::string> name_suffix(topo.routers().size());
+  std::vector<isp::IspId> name_isp(topo.routers().size());
+  for (RouterIdx r = 0; r < topo.routers().size(); ++r) {
+    const Router& router = topo.routers()[r];
+    name_suffix[r] = router_name_suffix(profiles[router.isp], cities.city(router.city));
+    name_isp[r] = decoder.decode(name_suffix[r]).isp.value_or(isp::kNoIsp);
+  }
+
   // Route each distinct flow once; render observed hops with artifacts.
-  for (const auto& [key, count] : flow_counts) {
-    const auto route = topo.route(key.access, key.dst, params.peering);
+  std::vector<CityId> group_dsts;
+  L3Routes routes;
+  for (std::size_t f = 0; f < flow_counts.size(); ++f) {
+    const auto& [key, count] = flow_counts[f];
+    if (f == 0 || flow_counts[f - 1].key.access != key.access) {
+      // An access router sits in one city, so its flows are contiguous in
+      // key order, and one search from it answers them all.
+      group_dsts.clear();
+      for (std::size_t g = f; g < flow_counts.size() && flow_counts[g].key.access == key.access;
+           ++g) {
+        group_dsts.push_back(flow_counts[g].key.dst);
+      }
+      routes = topo.routes_from(key.access, group_dsts, params.peering);
+    }
+    const auto route = routes.route(key.dst);
     if (route.empty()) {
       campaign.unroutable_probes += count;
       continue;
@@ -78,7 +123,7 @@ Campaign run_campaign(const L3Topology& topo, const transport::CityDatabase& cit
     flow.src = key.src;
     flow.dst = key.dst;
     flow.count = count;
-    flow.true_corridors = topo.route_corridors(route);
+    flow.true_corridors = routes.corridors(key.dst);
 
     // Observation artifacts are drawn once per flow (a given router's DNS
     // name either resolves or it does not; a given LSP hides the same
@@ -95,12 +140,11 @@ Campaign run_campaign(const L3Topology& topo, const transport::CityDatabase& cit
       // it does, attribution goes through the real name parser.
       if (obs_rng.chance(params.naming_hint_prob)) {
         hop.dns_name = router_dns_name(
-            profiles[router.isp], cities.city(router.city),
+            name_suffix[route[h]],
             mix64(params.seed ^ (static_cast<std::uint64_t>(route[h]) << 20) ^ h));
-        const auto decoded = decoder.decode(hop.dns_name);
-        hop.isp = decoded.isp.value_or(isp::kNoIsp);
+        hop.isp = name_isp[route[h]];
       }
-      flow.hops.push_back(hop);
+      flow.hops.push_back(std::move(hop));
     }
     if (flow.hops.size() < 2) {
       campaign.unroutable_probes += count;

@@ -73,13 +73,22 @@ std::string isp_domain(const isp::IspProfile& profile) {
   return slug + ".net";
 }
 
-std::string router_dns_name(const isp::IspProfile& profile, const transport::City& city,
-                            std::uint64_t salt) {
+std::string router_name_suffix(const isp::IspProfile& profile, const transport::City& city) {
+  return city_code(city) + "." + isp_domain(profile);
+}
+
+std::string router_dns_name(std::string_view suffix, std::uint64_t salt) {
   const std::uint64_t h = mix64(salt ^ 0x0d15ea5eULL);
   const auto iface = static_cast<unsigned>(h % 16);
   const auto router = static_cast<unsigned>((h >> 8) % 8);
-  return "ae-" + std::to_string(iface) + ".cr" + std::to_string(router) + "." +
-         city_code(city) + "." + isp_domain(profile);
+  std::string name = "ae-" + std::to_string(iface) + ".cr" + std::to_string(router) + ".";
+  name += suffix;
+  return name;
+}
+
+std::string router_dns_name(const isp::IspProfile& profile, const transport::City& city,
+                            std::uint64_t salt) {
+  return router_dns_name(router_name_suffix(profile, city), salt);
 }
 
 NameDecoder::NameDecoder(const transport::CityDatabase& cities,

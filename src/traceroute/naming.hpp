@@ -11,6 +11,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "isp/profiles.hpp"
 #include "transport/cities.hpp"
@@ -26,8 +27,16 @@ std::string city_code(const transport::City& city);
 /// domains for the twenty studied ISPs; a slug fallback otherwise.
 std::string isp_domain(const isp::IspProfile& profile);
 
-/// A descriptive interface name: "<iface>.<router>.<citycode>.<domain>".
-/// `salt` varies the interface/router tokens deterministically.
+/// The part of a router's descriptive names that is fixed per router:
+/// "<citycode>.<domain>".  Callers naming many interfaces build it once.
+std::string router_name_suffix(const isp::IspProfile& profile, const transport::City& city);
+
+/// A descriptive interface name: "ae-<iface>.cr<router>.<suffix>", with
+/// `suffix` from router_name_suffix.  `salt` varies the interface/router
+/// tokens deterministically.
+std::string router_dns_name(std::string_view suffix, std::uint64_t salt);
+
+/// router_dns_name(router_name_suffix(profile, city), salt).
 std::string router_dns_name(const isp::IspProfile& profile, const transport::City& city,
                             std::uint64_t salt);
 

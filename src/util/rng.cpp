@@ -141,6 +141,10 @@ std::size_t Rng::zipf(std::size_t n, double s) noexcept {
 std::size_t Rng::weighted_pick(const std::vector<double>& weights) noexcept {
   double total = 0.0;
   for (double w : weights) total += (w > 0.0 ? w : 0.0);
+  return weighted_pick(weights, total);
+}
+
+std::size_t Rng::weighted_pick(const std::vector<double>& weights, double total) noexcept {
   if (total <= 0.0) return 0;
   double target = next_double() * total;
   for (std::size_t i = 0; i < weights.size(); ++i) {

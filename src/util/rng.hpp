@@ -70,6 +70,11 @@ class Rng {
   /// Index drawn proportional to non-negative weights (at least one > 0).
   std::size_t weighted_pick(const std::vector<double>& weights) noexcept;
 
+  /// The same draw, given the total the one-argument form sums: the
+  /// positive weights, in index order.  Callers that draw many times from
+  /// fixed weights compute it once.
+  std::size_t weighted_pick(const std::vector<double>& weights, double total) noexcept;
+
   /// Fisher–Yates shuffle.
   template <typename T>
   void shuffle(std::vector<T>& v) noexcept {

@@ -77,6 +77,22 @@ TEST(RouterDnsName, FormatAndDeterminism) {
   EXPECT_NE(name, router_dns_name(sprint, chicago, 43));
 }
 
+TEST(RouterDnsName, SuffixCarriesTheDecodedIsp) {
+  // The ISP decoded from an interface name depends only on its router's
+  // suffix, so a campaign may decode the suffix once per router.
+  const NameDecoder decoder(db(), profiles());
+  for (isp::IspId i = 0; i < profiles().size(); ++i) {
+    for (transport::CityId c = 0; c < db().size(); c += 11) {
+      const auto suffix = router_name_suffix(profiles()[i], db().city(c));
+      const auto isp = decoder.decode(suffix).isp;
+      ASSERT_EQ(isp, std::optional<isp::IspId>(i)) << suffix;
+      for (std::uint64_t salt = 0; salt < 64; salt += 7) {
+        EXPECT_EQ(decoder.decode(router_dns_name(suffix, salt)).isp, isp);
+      }
+    }
+  }
+}
+
 TEST(NameDecoder, RoundTripsGeneratedNames) {
   const NameDecoder decoder(db(), profiles());
   std::size_t city_hits = 0;

@@ -195,6 +195,17 @@ TEST(Rng, WeightedPickAllZeroFallsBackToFirst) {
   EXPECT_EQ(rng.weighted_pick(w), 0u);
 }
 
+TEST(Rng, WeightedPickWithTotalDrawsTheSameIndices) {
+  // Summing the positive weights once, in index order, gives the draw the
+  // one-argument form makes.
+  const std::vector<double> w{0.0, 0.1, -2.0, 3.7, 0.2, 1e-9, 5.5};
+  double total = 0.0;
+  for (double x : w) total += x > 0.0 ? x : 0.0;
+  Rng summed(83);
+  Rng given(83);
+  for (int i = 0; i < 10000; ++i) ASSERT_EQ(summed.weighted_pick(w), given.weighted_pick(w, total));
+}
+
 TEST(Rng, ShuffleIsPermutation) {
   Rng rng(79);
   std::vector<int> v{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
