@@ -1,7 +1,7 @@
 // Golden-artifact regression tests: the Table 1 / Figure 6 / Figure 10
-// renderings of the canonical scenario, its serialized dataset and a small
-// traceroute campaign over it, pinned byte-for-byte against checked-in
-// fixtures.  The renderers in
+// renderings of the canonical scenario, its serialized dataset, a small
+// traceroute campaign over it and a set of cascade outcomes, pinned
+// byte-for-byte against checked-in fixtures.  The renderers in
 // src/artifact are the same code the bench harnesses print, so any
 // accounting change to the headline numbers must be made explicitly:
 // regenerate with
@@ -11,17 +11,21 @@
 // and commit the fixture diff.
 #include <gtest/gtest.h>
 
+#include <charconv>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "artifact/renderers.hpp"
+#include "cascade/cascade.hpp"
 #include "core/dataset_io.hpp"
 #include "risk/risk_matrix.hpp"
+#include "sim/campaign.hpp"
 #include "test_support.hpp"
 #include "traceroute/campaign.hpp"
 #include "traceroute/campaign_fixture.hpp"
+#include "traceroute/overlay.hpp"
 
 #ifndef INTERTUBES_GOLDEN_DIR
 #error "INTERTUBES_GOLDEN_DIR must be defined by the build"
@@ -96,6 +100,73 @@ TEST(GoldenArtifacts, CampaignBytes) {
                traceroute::serialize_campaign(
                    traceroute::run_campaign(testing::shared_l3_topology(), cities, params),
                    cities));
+}
+
+/// A double in its shortest round-trip form: two fixtures agree byte for
+/// byte only when every value agrees bit for bit.
+std::string exact(double value) {
+  char buf[64];
+  const auto result = std::to_chars(buf, buf + sizeof buf, value);
+  return std::string(buf, result.ptr);
+}
+
+std::string render_outcome(const cascade::CascadeOutcome& outcome) {
+  std::ostringstream out;
+  for (const auto& p : outcome.rounds) {
+    out << "  round " << p.round << ": dead " << p.conduits_dead << ", overload "
+        << p.overload_failed << ", giant " << exact(p.giant_component) << ", l3_dead "
+        << exact(p.l3_edges_dead) << ", l3_reach " << exact(p.l3_reachability)
+        << ", delivered " << exact(p.demand_delivered) << ", stretch "
+        << exact(p.mean_stretch) << "\n";
+  }
+  out << "  overload_failures:";
+  for (auto c : outcome.overload_failures) out << ' ' << c;
+  out << "\n  isp_links_lost:";
+  for (auto n : outcome.isp_links_lost) out << ' ' << n;
+  out << "\n  fixed_point_round " << outcome.fixed_point_round << ", converged "
+      << (outcome.converged ? "yes" : "no") << "\n";
+  return out.str();
+}
+
+TEST(GoldenArtifacts, CascadeOutcomes) {
+  // Overload cascades on the canonical world: sixteen seeded random_cuts(8)
+  // draws plus the twelve most-shared conduits, under unit demands and
+  // under §4.3 traffic weights from the shared campaign's overlay.  The
+  // weighted run pins the order in which per-conduit loads are summed.
+  const auto& scenario = shared_scenario();
+  const auto& map = scenario.map();
+  const auto& cities = core::Scenario::cities();
+  std::vector<std::pair<std::string, std::vector<core::ConduitId>>> cut_sets;
+  const sim::CampaignEngine draws(map, &cities, &scenario.row());
+  for (std::size_t trial = 0; trial < 16; ++trial) {
+    std::vector<core::ConduitId> cuts;
+    for (const auto& step : draws.draw_cuts(sim::Stressor::random_cuts(8), 0x1257, trial)) {
+      cuts.insert(cuts.end(), step.begin(), step.end());
+    }
+    cut_sets.emplace_back("random_cuts(8) trial " + std::to_string(trial), std::move(cuts));
+  }
+  cut_sets.emplace_back("most_shared_conduits(12)", shared_matrix().most_shared_conduits(12));
+
+  const auto overlay =
+      traceroute::overlay_campaign(map, cities, testing::shared_campaign());
+  std::vector<std::uint64_t> probes;
+  for (const auto& usage : overlay.usage) probes.push_back(usage.total());
+  const auto weights = cascade::traffic_demand_weights(map, probes);
+
+  const auto& l3 = testing::shared_l3_topology();
+  const cascade::CascadeEngine unit(map, &l3, &cities, &scenario.row());
+  const cascade::CascadeEngine weighted(map, &l3, &cities, &scenario.row(), nullptr, &weights);
+  std::ostringstream out;
+  const auto run_all = [&](const char* demands, const cascade::CascadeEngine& engine) {
+    for (const auto& [label, cuts] : cut_sets) {
+      out << demands << ", " << label << ", cuts";
+      for (auto c : cuts) out << ' ' << c;
+      out << "\n" << render_outcome(engine.run_cascade(cuts, {}));
+    }
+  };
+  run_all("unit demands", unit);
+  run_all("traffic-weighted demands", weighted);
+  check_golden("cascade.golden", out.str());
 }
 
 TEST(GoldenArtifacts, RenderersAreDeterministic) {
