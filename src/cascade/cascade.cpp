@@ -6,6 +6,7 @@
 #include <limits>
 #include <map>
 #include <numeric>
+#include <span>
 
 #include "sim/executor.hpp"
 #include "util/check.hpp"
@@ -214,61 +215,105 @@ CascadeOutcome CascadeEngine::run_cascade(const std::vector<ConduitId>& cuts,
   CascadeOutcome outcome;
   outcome.isp_links_lost.assign(map_.num_isps(), 0);
 
+  // A demand rides its chain until a conduit under it dies, then a
+  // shortest route over the surviving conduits until a conduit under that
+  // route dies, and is lost for good once no route is left.  Routes live
+  // leaf to root in one flat edge buffer.  Keeping an unbroken route is
+  // exact: the dead set only grows, and masking edges off a canonical tree
+  // path leaves that path and its distance the canonical answer (DESIGN.md
+  // §18).
+  enum class Via : char { Chain, Route, Lost };
+  struct State {
+    Via via = Via::Chain;
+    std::uint32_t offset = 0;  ///< route edges: routes[offset, offset + length)
+    std::uint32_t length = 0;
+    double km = 0.0;
+  };
+  std::vector<State> state(demands_.size());
+  for (std::size_t i = 0; i < demands_.size(); ++i) state[i].km = demands_[i].baseline_km;
+  std::vector<route::EdgeId> routes;
+  std::vector<route::EdgeId> kept_routes;
   std::vector<double> load(num_conduits);
-  std::vector<char> delivered(demands_.size(), 0);
-  std::vector<double> km(demands_.size(), 0.0);
   std::vector<ConduitId> dead_ids;
-  std::vector<NodeId> sources;
-  std::vector<std::size_t> affected;
+  std::vector<ConduitId> overloaded;
+  std::vector<std::pair<NodeId, std::uint32_t>> broken;  // (source, demand)
+  std::vector<NodeId> targets;
+  dead_ids.reserve(num_conduits);
+  overloaded.reserve(num_conduits);
+  broken.reserve(demands_.size());
+  targets.reserve(demands_.size());
+  const auto workspace = engine_->lease_workspace();
+  const auto any_dead = [&](const auto& ids) {
+    return std::any_of(ids.begin(), ids.end(), [&](auto cid) { return dead[cid] != 0; });
+  };
 
   for (std::size_t round = 0;; ++round) {
-    // Routing pass: intact demands keep their chains; cut demands reroute
-    // over the surviving graph via one forest per distinct source.
-    std::fill(load.begin(), load.end(), 0.0);
     dead_ids.clear();
     for (ConduitId c = 0; c < num_conduits; ++c) {
       if (dead[c]) dead_ids.push_back(c);  // ascending — the mask contract
     }
-    affected.clear();
+
+    // Re-route the demands that lost a conduit since the last round, one
+    // search per distinct source that stops at that source's targets.
+    broken.clear();
     for (std::size_t i = 0; i < demands_.size(); ++i) {
-      const auto& chain = map_.link(demands_[i].link).conduits;
-      bool intact = true;
-      for (ConduitId cid : chain) {
-        if (dead[cid]) {
-          intact = false;
-          break;
-        }
+      const State& s = state[i];
+      const bool cut =
+          s.via == Via::Chain
+              ? any_dead(map_.link(demands_[i].link).conduits)
+              : s.via == Via::Route &&
+                    any_dead(std::span(routes.data() + s.offset, s.length));
+      if (cut) broken.emplace_back(demands_[i].a, static_cast<std::uint32_t>(i));
+    }
+    std::sort(broken.begin(), broken.end());
+    route::Query query;
+    query.masked = &dead_ids;
+    for (std::size_t group = 0; group < broken.size();) {
+      const NodeId source = broken[group].first;
+      std::size_t group_end = group;
+      targets.clear();
+      for (; group_end < broken.size() && broken[group_end].first == source; ++group_end) {
+        targets.push_back(demands_[broken[group_end].second].b);
       }
-      if (intact) {
-        delivered[i] = 1;
-        km[i] = demands_[i].baseline_km;
-        for (ConduitId cid : chain) load[cid] += demands_[i].weight;
-      } else {
-        affected.push_back(i);
+      engine_->search_targets(source, targets, query, *workspace);
+      for (; group < group_end; ++group) {
+        const std::uint32_t i = broken[group].second;
+        State& s = state[i];
+        const NodeId to = demands_[i].b;
+        if (!workspace->settled(to)) {
+          s.via = Via::Lost;
+          s.km = std::numeric_limits<double>::infinity();
+          continue;
+        }
+        s.via = Via::Route;
+        s.km = workspace->distance(to);
+        s.offset = static_cast<std::uint32_t>(routes.size());
+        workspace->for_each_path_edge(to, [&](route::EdgeId eid) { routes.push_back(eid); });
+        s.length = static_cast<std::uint32_t>(routes.size()) - s.offset;
       }
     }
-    if (!affected.empty()) {
-      sources.clear();
-      for (std::size_t i : affected) sources.push_back(demands_[i].a);
-      std::sort(sources.begin(), sources.end());
-      sources.erase(std::unique(sources.begin(), sources.end()), sources.end());
-      route::Query query;
-      query.masked = &dead_ids;
-      const route::RouteForest forest = engine_->route_forest(sources, query);
-      for (std::size_t i : affected) {
-        const auto it = std::lower_bound(sources.begin(), sources.end(), demands_[i].a);
-        const auto row = static_cast<std::size_t>(it - sources.begin());
-        if (forest.reachable(row, demands_[i].b)) {
-          delivered[i] = 1;
-          km[i] = forest.dist_at(row, demands_[i].b);
-          forest.for_each_path_edge(row, demands_[i].b,
-                                    [&](route::EdgeId eid) { load[eid] += demands_[i].weight; });
-        } else {
-          delivered[i] = 0;
-          km[i] = std::numeric_limits<double>::infinity();
-        }
-      }
+
+    // Load sums in a fixed order — intact chains in demand order, then
+    // routes in demand order, as when every cut demand was re-routed each
+    // round — so weighted sums stay bit-identical.  The route pass also
+    // compacts the buffer past the routes just replaced.
+    std::fill(load.begin(), load.end(), 0.0);
+    for (std::size_t i = 0; i < demands_.size(); ++i) {
+      if (state[i].via != Via::Chain) continue;
+      for (ConduitId cid : map_.link(demands_[i].link).conduits) load[cid] += demands_[i].weight;
     }
+    kept_routes.clear();
+    for (std::size_t i = 0; i < demands_.size(); ++i) {
+      State& s = state[i];
+      if (s.via != Via::Route) continue;
+      const auto offset = static_cast<std::uint32_t>(kept_routes.size());
+      for (std::uint32_t k = s.offset; k < s.offset + s.length; ++k) {
+        load[routes[k]] += demands_[i].weight;
+        kept_routes.push_back(routes[k]);
+      }
+      s.offset = offset;
+    }
+    routes.swap(kept_routes);
 
     RoundPoint point;
     point.round = round;
@@ -284,17 +329,17 @@ CascadeOutcome CascadeEngine::run_cascade(const std::vector<ConduitId>& cuts,
     double delivered_weight = 0.0;
     double stretch_sum = 0.0;
     for (std::size_t i = 0; i < demands_.size(); ++i) {
-      if (!delivered[i]) continue;
+      if (state[i].via == Via::Lost) continue;
       delivered_weight += demands_[i].weight;
       const double baseline = demands_[i].baseline_km > 0.0 ? demands_[i].baseline_km : 1.0;
-      stretch_sum += demands_[i].weight * (km[i] / baseline);
+      stretch_sum += demands_[i].weight * (state[i].km / baseline);
     }
     point.demand_delivered = demands_.empty() ? 1.0 : delivered_weight / total_weight_;
     point.mean_stretch = delivered_weight > 0.0 ? stretch_sum / delivered_weight
                                                 : std::numeric_limits<double>::infinity();
     outcome.rounds.push_back(point);
 
-    std::vector<ConduitId> overloaded;
+    overloaded.clear();
     for (ConduitId c = 0; c < num_conduits; ++c) {
       if (!dead[c] && load[c] > capacity[c]) overloaded.push_back(c);
     }
@@ -302,7 +347,7 @@ CascadeOutcome CascadeEngine::run_cascade(const std::vector<ConduitId>& cuts,
       outcome.fixed_point_round = round;
       outcome.converged = overloaded.empty();
       for (std::size_t i = 0; i < demands_.size(); ++i) {
-        if (!delivered[i]) ++outcome.isp_links_lost[demands_[i].isp];
+        if (state[i].via == Via::Lost) ++outcome.isp_links_lost[demands_[i].isp];
       }
       break;
     }

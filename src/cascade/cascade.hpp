@@ -13,10 +13,12 @@
 //      die physically);
 //   3. runs capacity-aware overload rounds in the style of Motter–Lai:
 //      every ISP link is a unit demand routed over the surviving conduit
-//      graph (batched route::PathEngine forests, one Dijkstra per distinct
-//      source), conduits whose demand load exceeds their provisioned
+//      graph, conduits whose demand load exceeds their provisioned
 //      capacity — (1 + margin) x baseline load — fail, and the process
-//      repeats to a fixed point.
+//      repeats to a fixed point.  A round re-routes only the demands whose
+//      chain or route lost a conduit since the last round, with one
+//      route::PathEngine search per distinct source that stops once that
+//      source's targets have settled.
 //
 // Percolation sweeps drive the same structural metrics across a fraction-
 // removed grid per adversary model: giant-component size of the physical

@@ -23,7 +23,10 @@
 // robustness fan-outs) use distance_rows(): one full Dijkstra per source
 // written into a flat row-major DistanceMatrix, optionally parallelized
 // over sources on a sim::Executor — n sources cost n scratch passes
-// instead of n(n-1)/2 point-to-point queries.
+// instead of n(n-1)/2 point-to-point queries.  A source that needs only a
+// few targets runs search_targets(): one Dijkstra that stops once every
+// target has settled, read back straight from the Workspace.
+// shortest_path() is its one-target case.
 //
 // Determinism contract: results are a pure function of (graph, query).
 // Ties are broken canonically — the heap pops equal-distance nodes in
@@ -36,6 +39,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "util/alloc.hpp"
@@ -91,9 +95,10 @@ struct DistanceMatrix {
 /// Dijkstra tree of sources[i]: distance, incoming edge, and predecessor
 /// per node, so consumers can materialize any tree path (or just walk its
 /// edge ids) without re-running a point-to-point query.  Every extracted
-/// path is bit-identical to shortest_path(sources[i], to, query): the
-/// canonical tie-breaks freeze a settled node's parent, so the full run
-/// and the early-exit run agree on every node settled before `to`.
+/// path is bit-identical to shortest_path(sources[i], to, query) and to
+/// search_targets: the canonical tie-breaks freeze a settled node's
+/// parent, so the full run and an early-exit run agree on every node
+/// settled before the exit.
 struct RouteForest {
   std::vector<double> dist;      ///< row-major num_sources x stride, +inf unreached
   std::vector<EdgeId> via_edge;  ///< incoming edge; kNoEdge at the source / unreached
@@ -147,8 +152,26 @@ class PathEngine {
    public:
     Workspace() = default;
 
+    /// The last search's results.  A settled node's distance and tree
+    /// path are final; the readers below are defined only for settled
+    /// nodes of the graph this workspace last searched.
+    bool settled(NodeId node) const noexcept {
+      return node_gen_[node] == generation_ && heap_pos_[node] == kSettledPos;
+    }
+    double distance(NodeId node) const noexcept { return dist_[node]; }
+
+    /// Visit the edge ids on the tree path node → source (leaf-to-root
+    /// order, no allocation).  No-op at the source.
+    template <typename Fn>
+    void for_each_path_edge(NodeId node, const Fn& fn) const {
+      for (NodeId cur = node; via_node_[cur] != kNoNode; cur = via_node_[cur]) {
+        fn(via_edge_[cur]);
+      }
+    }
+
    private:
     friend class PathEngine;
+    static constexpr std::uint32_t kSettledPos = 0xffffffffu;  // heap_pos_ once popped
     void prepare(std::size_t num_nodes, std::size_t num_edges);
 
     std::vector<double> dist_;
@@ -156,6 +179,7 @@ class PathEngine {
     std::vector<NodeId> via_node_;
     std::vector<std::uint64_t> node_gen_;   // per node: last query that touched it
     std::vector<std::uint32_t> heap_pos_;   // valid only when node_gen_ is current
+    std::vector<std::uint64_t> target_gen_; // per node: last query that targeted it
     std::vector<NodeId> heap_;              // indexed binary min-heap of node ids
     std::vector<std::uint64_t> mask_gen_;   // per base edge: last query that masked it
     std::uint64_t generation_ = 0;
@@ -167,6 +191,19 @@ class PathEngine {
   std::size_t num_nodes() const noexcept { return num_nodes_; }
   std::size_t num_edges() const noexcept { return edges_.size(); }
   const EdgeSpec& edge(EdgeId id) const;
+
+  /// Dijkstra from `from` under `query` that stops once every node in
+  /// `targets` has settled (repeats and `from` itself allowed); an
+  /// unreachable target lets it run until the reachable set is exhausted,
+  /// and an empty target set settles every reachable node.  Afterwards
+  /// ws.settled(t) tells whether target t is reachable, and ws.distance(t)
+  /// and ws.for_each_path_edge(t, fn) give its distance and tree path,
+  /// bit-identical to shortest_path(from, t, query) and to the route_forest
+  /// row of `from`: nodes settle in (distance, node id) order and a settled
+  /// node's parent is final, so an early exit settles the same prefix as a
+  /// full run.
+  void search_targets(NodeId from, std::span<const NodeId> targets, const Query& query,
+                      Workspace& ws) const;
 
   /// Dijkstra from `from` to `to` under `query`, using caller-owned
   /// scratch (the zero-allocation hot path; reuse `ws` across queries).
@@ -235,8 +272,6 @@ class PathEngine {
   std::size_t workspaces_dropped() const noexcept { return pool_.dropped(); }
 
  private:
-  void run_dijkstra(NodeId from, NodeId to, const Query& query, Workspace& ws) const;
-  Path reconstruct(NodeId from, NodeId to, const Workspace& ws) const;
   void reconstruct_into(NodeId from, NodeId to, const Workspace& ws, Path& out) const;
 
   std::size_t num_nodes_ = 0;

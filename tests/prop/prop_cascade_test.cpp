@@ -1,10 +1,13 @@
 // Differential properties of the cascade engine.
 //
-// Two families:
+// Three families:
 //   * determinism — the full campaign and percolation reports must be
 //     bit-identical (operator== over every curve) between the serial path
 //     and executors at 1, 2 and 8 threads, for random synthetic worlds.
 //     This is the contract that makes the parallel fan-out free.
+//   * the round oracle — run_cascade, which re-routes only the demands
+//     that broke, must equal the all-demands reference round (oracle O10)
+//     on random maps, weights, cuts, margins and round caps.
 //   * structure oracles — evaluate_structure's giant component must match
 //     an independent BFS over the conduit list, and the L3 metrics must
 //     match an independent edge-resolution + BFS over the router graph of
@@ -17,6 +20,7 @@
 #include <vector>
 
 #include "cascade/cascade.hpp"
+#include "oracles.hpp"
 #include "prop/generators.hpp"
 #include "prop/prop.hpp"
 #include "prop/prop_gtest.hpp"
@@ -134,6 +138,12 @@ TEST(PropCascade, PercolationBitIdenticalAcrossThreadCounts) {
   };
   EXPECT_PROP(prop::check<prop::MapSpec>("cascade_percolation_thread_invariance",
                                          prop::fiber_maps(), property));
+}
+
+TEST(PropCascade, RunCascadeMatchesAllDemandsReference) {
+  EXPECT_PROP(prop::check<oracles::CascadeCase>("cascade_vs_all_demands_reference",
+                                                oracles::cascade_cases(),
+                                                oracles::cascade_reference_property()));
 }
 
 TEST(PropCascade, GiantComponentMatchesBruteForceBfs) {

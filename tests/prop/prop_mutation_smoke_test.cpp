@@ -111,6 +111,22 @@ TEST(PropMutationSmoke, DetectsMiscountedSeveredLinks) {
   });
 }
 
+TEST(PropMutationSmoke, DetectsSearchDroppingATarget) {
+  expect_fault_detected([](const prop::Config& config) {
+    return prop::check<prop::GraphCase>(
+        "smoke_search_drops_target", prop::graph_cases(),
+        oracles::target_search_property(Fault::SearchDropsTarget), config);
+  });
+}
+
+TEST(PropMutationSmoke, DetectsReferenceKeepingFirstReroute) {
+  expect_fault_detected([](const prop::Config& config) {
+    return prop::check<oracles::CascadeCase>(
+        "smoke_reference_keeps_first_reroute", oracles::cascade_cases(),
+        oracles::cascade_reference_property(Fault::ReferenceKeepsFirstReroute), config);
+  });
+}
+
 TEST(PropMutationSmoke, DetectsCorruptDatasetLine) {
   const auto& scenario = shared_scenario();
   const std::size_t num_isps = std::min<std::size_t>(4, scenario.truth().profiles().size());

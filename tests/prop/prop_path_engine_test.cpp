@@ -50,6 +50,11 @@ TEST(PropPathEngine, QueriesAreDeterministicAcrossEnginesAndRepeats) {
   EXPECT_PROP(prop::check<prop::GraphCase>("query_determinism", prop::graph_cases(), property));
 }
 
+TEST(PropPathEngine, TargetSearchMatchesPointQueriesAndForestRows) {
+  EXPECT_PROP(prop::check<prop::GraphCase>("target_search_vs_point_queries", prop::graph_cases(),
+                                           oracles::target_search_property()));
+}
+
 TEST(PropPathEngine, DistancesFromAgreesWithPerPairQueries) {
   const prop::Property<prop::GraphCase> property =
       [](const prop::GraphCase& c) -> std::optional<std::string> {
