@@ -23,7 +23,9 @@ Usage:
 
 Only benchmarks present in BOTH dumps are compared (a new benchmark is not
 a regression; a deleted one is reported as missing but non-fatal unless
---strict-missing is set).
+--strict-missing is set).  A TRACKED pattern that matches no entry of its
+committed baseline fails the run: a renamed benchmark must not drop out of
+the gate unnoticed.
 """
 
 import argparse
@@ -41,9 +43,11 @@ import sys
 #   * route engine reroute latency (cold + steady-state + fan-out, cpu_time),
 #   * the Fig-10 robustness planner end to end (cpu_time),
 #   * dissect all-pairs sweep throughput (pairs_per_second counter),
-#   * cascade campaign throughput (trials_per_second counter),
+#   * cascade campaign throughput (trials_per_second counter, on the wall
+#     clock),
 #   * the 20 000-probe traceroute campaign (cpu_time; single-threaded, so
-#     CPU time is wall time).
+#     CPU time is wall time; its per-benchmark min time names it
+#     BM_CampaignRouting/min_time:...).
 TRACKED = [
     ("bench_serve_engine", r".*", "items_per_second", True),
     ("bench_serve_engine", r"BM_Fast.*", "allocs_per_query", False),
@@ -57,7 +61,7 @@ TRACKED = [
     ("bench_cascade", r"BM_CascadeCampaign.*", "trials_per_second", True),
     ("bench_worldgen", r"BM_(GenerateWorld|StrictIngest|RiskMatrix|SnapshotBuild)/(1|10)$",
      "items_per_second", True),
-    ("bench_table23_topconduits", r"BM_CampaignRouting", "cpu_time", False),
+    ("bench_table23_topconduits", r"BM_CampaignRouting(/.*)?", "cpu_time", False),
 ]
 
 _NONFINITE_TOKEN = re.compile(r'(?<![\w."])-?(?:inf(?:inity)?|nan)(?![\w"])', re.IGNORECASE)
@@ -115,6 +119,19 @@ def compare(base_value: float, fresh_value: float, higher_is_better: bool,
     return change, regressed
 
 
+def unmatched_patterns(tracked, baselines):
+    """TRACKED entries whose pattern matches no baseline benchmark carrying
+    the metric.  `baselines` maps harness -> {name: bench} (None when the
+    harness has no committed dump)."""
+    unmatched = []
+    for harness, name_re, metric, _ in tracked:
+        base = baselines.get(harness) or {}
+        pattern = re.compile(name_re)
+        if not any(pattern.fullmatch(name) and metric in bench for name, bench in base.items()):
+            unmatched.append(f"{harness}: {name_re!r} ({metric})")
+    return unmatched
+
+
 def selftest() -> int:
     cases = [
         # (base, fresh, higher_is_better, tolerance, expect_regressed)
@@ -153,6 +170,18 @@ def selftest() -> int:
         failures += 1
         print("[FAIL] sanitizer mangled a benchmark name")
 
+    # A pattern must match some baseline entry that carries its metric.
+    tracked = [("h", r"BM_A(/.*)?", "cpu_time", False), ("h", r"BM_B", "cpu_time", False),
+               ("h", r"BM_A(/.*)?", "items_per_second", True), ("g", r".*", "cpu_time", False)]
+    baselines = {"h": {"BM_A/min_time:2.000": {"cpu_time": 1.0}, "BM_Bx": {"cpu_time": 1.0}}}
+    got = unmatched_patterns(tracked, baselines)
+    expected = ["h: 'BM_B' (cpu_time)", "h: 'BM_A(/.*)?' (items_per_second)",
+                "g: '.*' (cpu_time)"]
+    status = "ok" if got == expected else "FAIL"
+    if got != expected:
+        failures += 1
+    print(f"[{status:>4}] unmatched_patterns -> {got}")
+
     if failures:
         print(f"selftest: {failures} case(s) failed", file=sys.stderr)
         return 1
@@ -178,17 +207,26 @@ def main() -> int:
     if args.fresh is None:
         parser.error("--fresh is required (or use --selftest)")
 
+    baselines = {}
+    for harness, _, _, _ in TRACKED:
+        base_path = args.baseline / f"BENCH_{harness}.json"
+        if harness not in baselines:
+            baselines[harness] = load_benchmarks(base_path) if base_path.is_file() else None
+    unmatched = unmatched_patterns(TRACKED, baselines)
+    for entry in unmatched:
+        print(f"error: tracked pattern matches no baseline entry: {entry}", file=sys.stderr)
+    if unmatched:
+        return 1
+
     regressions = []
     missing = []
     compared = 0
     for harness, name_re, metric, higher_is_better in TRACKED:
-        base_path = args.baseline / f"BENCH_{harness}.json"
+        base = baselines[harness]
         fresh_path = args.fresh / f"BENCH_{harness}.json"
-        if not base_path.is_file() or not fresh_path.is_file():
-            missing.append(f"{harness}: dump missing "
-                           f"({base_path if not base_path.is_file() else fresh_path})")
+        if not fresh_path.is_file():
+            missing.append(f"{harness}: dump missing ({fresh_path})")
             continue
-        base = load_benchmarks(base_path)
         fresh = load_benchmarks(fresh_path)
         pattern = re.compile(name_re)
         for name, base_bench in base.items():
