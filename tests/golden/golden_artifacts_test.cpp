@@ -1,7 +1,8 @@
 // Golden-artifact regression tests: the Table 1 / Figure 6 / Figure 10
 // renderings of the canonical scenario, its serialized dataset, a small
-// traceroute campaign over it and a set of cascade outcomes, pinned
-// byte-for-byte against checked-in fixtures.  The renderers in
+// traceroute campaign over it, a set of cascade outcomes and the failure
+// analyses' connectivity outputs, pinned byte-for-byte against checked-in
+// fixtures.  The renderers in
 // src/artifact are the same code the bench harnesses print, so any
 // accounting change to the headline numbers must be made explicitly:
 // regenerate with
@@ -20,7 +21,11 @@
 #include "artifact/renderers.hpp"
 #include "cascade/cascade.hpp"
 #include "core/dataset_io.hpp"
+#include "risk/cuts.hpp"
+#include "risk/geo_hazard.hpp"
 #include "risk/risk_matrix.hpp"
+#include "serve/fastpath.hpp"
+#include "serve/snapshot.hpp"
 #include "sim/campaign.hpp"
 #include "test_support.hpp"
 #include "traceroute/campaign.hpp"
@@ -167,6 +172,129 @@ TEST(GoldenArtifacts, CascadeOutcomes) {
   run_all("unit demands", unit);
   run_all("traffic-weighted demands", weighted);
   check_golden("cascade.golden", out.str());
+}
+
+std::string render_curve(const sim::MetricCurve& curve) {
+  std::ostringstream out;
+  out << "  " << curve.name << "\n";
+  for (std::size_t step = 0; step < curve.points.size(); ++step) {
+    const auto& p = curve.points[step];
+    out << "    " << step << ": mean " << exact(p.mean) << ", p5 " << exact(p.p5) << ", p50 "
+        << exact(p.p50) << ", p95 " << exact(p.p95) << ", samples " << p.samples << "\n";
+  }
+  return out.str();
+}
+
+std::string render_campaign(const sim::CampaignReport& report) {
+  std::ostringstream out;
+  out << "campaign: " << report.stressor << ", seed " << report.seed << ", trials "
+      << report.trials << ", steps " << report.steps << "\n";
+  for (const auto* curve : {&report.conduits_down, &report.connectivity, &report.components,
+                            &report.links_hit, &report.isps_hit, &report.weight_lost}) {
+    out << render_curve(*curve);
+  }
+  out << "  isp_impact\n";
+  for (const auto& impact : report.isp_impact) {
+    out << "    isp " << impact.isp << ": mean " << exact(impact.mean_links_lost) << ", p95 "
+        << exact(impact.p95_links_lost) << ", max " << exact(impact.max_links_lost) << "\n";
+  }
+  return out.str();
+}
+
+TEST(GoldenArtifacts, FailureCampaigns) {
+  // Every failure analysis that measures connectivity under accumulating
+  // cuts, on the canonical world: the three bench_sim_campaign campaigns,
+  // both failure_curve strategies, percolation under all three
+  // adversaries with the L3 topology, hazard discs and what-if cuts.
+  const auto& scenario = shared_scenario();
+  const auto& map = scenario.map();
+  const auto& cities = core::Scenario::cities();
+  std::ostringstream out;
+
+  const auto overlay = traceroute::overlay_campaign(map, cities, testing::shared_campaign());
+  std::vector<std::uint64_t> probes;
+  for (const auto& usage : overlay.usage) probes.push_back(usage.total());
+  const sim::CampaignEngine campaigns(map, &cities, &scenario.row(), probes);
+  sim::CampaignConfig config;
+  config.seed = 0x1257;
+  config.stressor = sim::Stressor::random_cuts(25);
+  config.trials = 96;
+  out << render_campaign(campaigns.run(config));
+  config.stressor = sim::Stressor::targeted_cuts(25);
+  config.trials = 1;
+  out << render_campaign(campaigns.run(config));
+  config.stressor = sim::Stressor::correlated_hazards(5, 120.0);
+  config.trials = 64;
+  out << render_campaign(campaigns.run(config));
+
+  for (const auto strategy : {risk::FailureStrategy::Random, risk::FailureStrategy::MostSharedFirst}) {
+    out << "failure_curve "
+        << (strategy == risk::FailureStrategy::Random ? "random" : "most shared first") << "\n";
+    for (const auto& p : risk::failure_curve(map, strategy, 40, 12, 0x1257)) {
+      out << "  " << p.failed << ": connected " << exact(p.connected_pair_fraction)
+          << ", components " << exact(p.components) << "\n";
+    }
+  }
+
+  const cascade::CascadeEngine structure(map, &testing::shared_l3_topology(), &cities,
+                                         &scenario.row());
+  for (const auto adversary : {sim::StressorKind::RandomCuts, sim::StressorKind::TargetedCuts,
+                               sim::StressorKind::CorrelatedHazards}) {
+    cascade::PercolationConfig sweep;
+    sweep.adversary = adversary;
+    sweep.hazard_radius_km = 120.0;
+    sweep.resolution = 10;
+    sweep.trials = 8;
+    sweep.seed = 0x1257;
+    const auto report = structure.percolation(sweep);
+    out << "percolation: " << report.adversary << ", seed " << report.seed << ", trials "
+        << report.trials << ", resolution " << report.resolution << "\n";
+    for (const auto* curve : {&report.conduits_dead, &report.giant_component,
+                              &report.l3_edges_dead, &report.l3_reachability}) {
+      out << render_curve(*curve);
+    }
+  }
+
+  for (const auto& [name, radius] : std::vector<std::pair<std::string, double>>{
+           {"Chicago, IL", 120.0}, {"Dallas, TX", 120.0}, {"Denver, CO", 250.0},
+           {"Atlanta, GA", 80.0}, {"Salt Lake City, UT", 300.0}}) {
+    const auto id = cities.find(name);
+    ASSERT_TRUE(id.has_value()) << name;
+    risk::HazardRegion region;
+    region.center = cities.city(*id).location;
+    region.radius_km = radius;
+    const auto impact = risk::assess_hazard(map, scenario.row(), region);
+    out << "hazard " << name << " r=" << exact(radius) << ": conduits " << impact.conduits_cut
+        << ", links " << impact.links_hit << ", isps " << impact.isps_hit << ", connectivity "
+        << exact(impact.connectivity) << "\n";
+  }
+
+  const auto snap = serve::Snapshot::build(std::shared_ptr<const core::Scenario>(
+      std::shared_ptr<const core::Scenario>{}, &scenario));
+  std::vector<std::pair<std::string, std::vector<core::ConduitId>>> cut_sets;
+  cut_sets.emplace_back("none", std::vector<core::ConduitId>{});
+  cut_sets.emplace_back("most_shared_conduits(12)", shared_matrix().most_shared_conduits(12));
+  for (std::size_t trial = 0; trial < 4; ++trial) {
+    std::vector<core::ConduitId> cuts;
+    for (const auto& step : campaigns.draw_cuts(sim::Stressor::random_cuts(8), 0x1257, trial)) {
+      cuts.insert(cuts.end(), step.begin(), step.end());
+    }
+    cut_sets.emplace_back("random_cuts(8) trial " + std::to_string(trial), std::move(cuts));
+  }
+  std::vector<core::ConduitId> every_third;
+  for (core::ConduitId c = 0; c < map.conduits().size(); c += 3) every_third.push_back(c);
+  cut_sets.emplace_back("every third conduit", std::move(every_third));
+  serve::fastpath::RequestScratch scratch;
+  for (const auto& [label, cuts] : cut_sets) {
+    serve::fastpath::CutImpact impact;
+    ASSERT_TRUE(serve::fastpath::fast_what_if_cut(snap->soa(), cuts, scratch, impact));
+    out << "what-if cut " << label << ": conduits " << impact.conduits_cut << ", links "
+        << impact.links_severed << ", isps " << impact.isps_hit << ", before "
+        << exact(impact.connected_fraction_before) << " (" << snap->soa().components_before
+        << " components), after " << exact(impact.connected_fraction_after) << " ("
+        << impact.components_after << " components)\n";
+  }
+  check_golden("failure_campaigns.golden", out.str());
 }
 
 TEST(GoldenArtifacts, RenderersAreDeterministic) {
