@@ -188,9 +188,8 @@ struct PercolationReport {
 
 /// Immutable per-world cascade context shared by every trial thread:
 /// the demand set (one unit demand per ISP link, riding its conduit
-/// chain), baseline per-conduit loads, the L3 edge → conduit resolution,
-/// and a compact physical adjacency for component sweeps.  All public
-/// methods are const and thread-safe.
+/// chain), baseline per-conduit loads and the L3 edge → conduit
+/// resolution.  All public methods are const and thread-safe.
 class CascadeEngine {
  public:
   /// `l3` is optional — without it the L3 metrics stay at their baseline
@@ -249,12 +248,18 @@ class CascadeEngine {
     double weight = 1.0;       ///< traffic weight (unit by default)
   };
 
-  StructuralMetrics structure_of(const std::vector<char>& dead) const;
+  /// Structure at every step 0..last_step of a monotone failure sequence
+  /// (conduit c dead from step first_death[c] on), from one reverse
+  /// union-find pass over the physical graph and one over the L3 graph.
+  std::vector<StructuralMetrics> structure_by_step(const std::vector<std::uint32_t>& first_death,
+                                                   std::size_t last_step) const;
 
   const core::FiberMap& map_;
   const traceroute::L3Topology* l3_ = nullptr;
   std::shared_ptr<const route::PathEngine> engine_;
-  sim::CampaignEngine campaign_;  ///< the stressor draw (and only that)
+  /// The stressor draw, and the conduit-end table the structural sweeps
+  /// unite.
+  sim::CampaignEngine campaign_;
 
   std::vector<Demand> demands_;        // one per ISP link
   std::vector<double> baseline_load_;  // [conduit] summed demand weight
@@ -262,8 +267,6 @@ class CascadeEngine {
   // [l3 edge] → conduit ids under its corridors (unmapped corridors and
   // peering edges resolve to none and keep the edge alive).
   std::vector<std::vector<core::ConduitId>> l3_edge_conduits_;
-  // Compact physical adjacency over map_.nodes() for component sweeps.
-  std::vector<std::vector<std::pair<std::uint32_t, core::ConduitId>>> adjacency_;
 };
 
 /// §4.3 probe-weighted demand weights, indexed by LinkId: weight of link L

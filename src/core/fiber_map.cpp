@@ -127,6 +127,16 @@ std::vector<CityId> FiberMap::nodes() const {
   return {cities.begin(), cities.end()};
 }
 
+std::vector<std::pair<std::uint32_t, std::uint32_t>> FiberMap::conduit_node_indexes() const {
+  const auto cities = nodes();
+  std::vector<std::uint32_t> index(cities.empty() ? 0 : cities.back() + 1);
+  for (std::size_t i = 0; i < cities.size(); ++i) index[cities[i]] = static_cast<std::uint32_t>(i);
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> ends;
+  ends.reserve(conduits_.size());
+  for (const auto& c : conduits_) ends.emplace_back(index[c.a], index[c.b]);
+  return ends;
+}
+
 std::vector<LinkId> FiberMap::links_of(IspId isp) const {
   std::vector<LinkId> out;
   for (const auto& link : links_) {

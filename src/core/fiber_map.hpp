@@ -12,6 +12,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "isp/profiles.hpp"
@@ -99,6 +100,10 @@ class FiberMap {
 
   /// Cities that appear as a conduit endpoint.
   std::vector<transport::CityId> nodes() const;
+
+  /// Each conduit's endpoints as indexes into nodes(), indexed by
+  /// ConduitId: the dense edge list the connectivity kernel unites.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> conduit_node_indexes() const;
 
   /// Link ids of one ISP.
   std::vector<LinkId> links_of(isp::IspId isp) const;

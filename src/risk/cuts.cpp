@@ -7,6 +7,7 @@
 
 #include "sim/executor.hpp"
 #include "util/check.hpp"
+#include "util/connectivity.hpp"
 
 namespace intertubes::risk {
 
@@ -36,35 +37,6 @@ struct Graph {
     }
   }
 };
-
-/// Connectivity statistics of the graph with `dead` conduits removed.
-void connectivity(const Graph& graph, const std::vector<char>& dead, double& pair_fraction,
-                  std::size_t& components) {
-  const std::size_t n = graph.cities.size();
-  std::vector<char> visited(n, 0);
-  components = 0;
-  double connected_pairs = 0.0;
-  for (std::size_t start = 0; start < n; ++start) {
-    if (visited[start]) continue;
-    ++components;
-    std::size_t size = 0;
-    std::vector<std::size_t> stack{start};
-    visited[start] = 1;
-    while (!stack.empty()) {
-      const std::size_t u = stack.back();
-      stack.pop_back();
-      ++size;
-      for (const auto& [v, cid] : graph.adjacency[u]) {
-        if (dead[cid] || visited[v]) continue;
-        visited[v] = 1;
-        stack.push_back(v);
-      }
-    }
-    connected_pairs += static_cast<double>(size) * static_cast<double>(size - 1) / 2.0;
-  }
-  const double total_pairs = static_cast<double>(n) * static_cast<double>(n - 1) / 2.0;
-  pair_fraction = total_pairs > 0.0 ? connected_pairs / total_pairs : 1.0;
-}
 
 }  // namespace
 
@@ -127,7 +99,8 @@ std::vector<FailurePoint> failure_curve(const FiberMap& map, FailureStrategy str
     base.components = 0.0;
     return {base};
   }
-  const Graph graph(map);
+  const std::size_t num_nodes = map.nodes().size();
+  const auto ends = map.conduit_node_indexes();
   max_failures = std::min(max_failures, num_conduits);
   if (strategy == FailureStrategy::MostSharedFirst) trials = 1;
   IT_CHECK(trials >= 1);
@@ -149,16 +122,21 @@ std::vector<FailurePoint> failure_curve(const FiberMap& map, FailureStrategy str
           });
         }
 
-        std::vector<FailurePoint> partial(max_failures + 1);
-        std::vector<char> dead(num_conduits, 0);
-        for (std::size_t f = 0; f <= max_failures; ++f) {
-          if (f > 0) dead[order[f - 1]] = 1;
-          double fraction = 0.0;
-          std::size_t components = 0;
-          connectivity(graph, dead, fraction, components);
-          partial[f].connected_pair_fraction = fraction;
-          partial[f].components = static_cast<double>(components);
+        // The f-th conduit of the order dies at failure count f; every
+        // count is read from one reverse union-find pass.
+        std::vector<std::uint32_t> first_death(num_conduits, kNeverDies);
+        for (std::size_t f = 1; f <= max_failures; ++f) {
+          first_death[order[f - 1]] = static_cast<std::uint32_t>(f);
         }
+        std::vector<FailurePoint> partial(max_failures + 1);
+        Connectivity sets;
+        sets.read_steps_in_reverse(
+            num_nodes, first_death, max_failures,
+            [&ends](std::uint32_t cid) { return ends[cid]; },
+            [&partial](std::size_t f, const Connectivity& graph) {
+              partial[f].connected_pair_fraction = graph.pair_fraction();
+              partial[f].components = static_cast<double>(graph.components());
+            });
         return partial;
       });
 

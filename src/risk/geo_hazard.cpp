@@ -1,10 +1,10 @@
 #include "risk/geo_hazard.hpp"
 
 #include <algorithm>
-#include <map>
 #include <set>
 
 #include "util/check.hpp"
+#include "util/connectivity.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -28,44 +28,6 @@ std::vector<ConduitId> conduits_in_region(const FiberMap& map,
   return hit;
 }
 
-namespace {
-
-/// Connectivity of the map with a set of conduits removed.
-double connectivity_without(const FiberMap& map, const std::vector<char>& dead) {
-  std::map<CityId, std::size_t> index;
-  std::vector<CityId> nodes = map.nodes();
-  for (std::size_t i = 0; i < nodes.size(); ++i) index[nodes[i]] = i;
-  std::vector<char> visited(nodes.size(), 0);
-  double connected_pairs = 0.0;
-  for (std::size_t start = 0; start < nodes.size(); ++start) {
-    if (visited[start]) continue;
-    std::size_t size = 0;
-    std::vector<std::size_t> stack{start};
-    visited[start] = 1;
-    while (!stack.empty()) {
-      const std::size_t u = stack.back();
-      stack.pop_back();
-      ++size;
-      for (ConduitId cid : map.conduits_at(nodes[u])) {
-        if (dead[cid]) continue;
-        const auto& conduit = map.conduit(cid);
-        const CityId other = (conduit.a == nodes[u]) ? conduit.b : conduit.a;
-        const std::size_t v = index.at(other);
-        if (!visited[v]) {
-          visited[v] = 1;
-          stack.push_back(v);
-        }
-      }
-    }
-    connected_pairs += static_cast<double>(size) * static_cast<double>(size - 1) / 2.0;
-  }
-  const double n = static_cast<double>(nodes.size());
-  const double total = n * (n - 1) / 2.0;
-  return total > 0.0 ? connected_pairs / total : 1.0;
-}
-
-}  // namespace
-
 HazardImpact assess_hazard(const FiberMap& map, const transport::RightOfWayRegistry& row,
                            const HazardRegion& region) {
   HazardImpact impact;
@@ -87,7 +49,13 @@ HazardImpact assess_hazard(const FiberMap& map, const transport::RightOfWayRegis
     }
   }
   impact.isps_hit = isps.size();
-  impact.connectivity = connectivity_without(map, dead);
+
+  const auto ends = map.conduit_node_indexes();
+  Connectivity sets(map.nodes().size());
+  for (ConduitId cid = 0; cid < ends.size(); ++cid) {
+    if (!dead[cid]) sets.unite(ends[cid].first, ends[cid].second);
+  }
+  impact.connectivity = sets.pair_fraction();
   return impact;
 }
 

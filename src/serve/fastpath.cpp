@@ -11,8 +11,7 @@ void RequestScratch::warm(const Snapshot& snap) {
   cut_ids.reserve(num_conduits);
   conduit_cut.assign(num_conduits, 0);
   isp_hit.assign(soa.num_isps, 0);
-  uf_parent.assign(soa.num_map_nodes, 0);
-  component_size.assign(soa.num_map_nodes, 0);
+  connectivity.reset(soa.num_map_nodes);
   hamming.reserve(soa.num_isps);
   snap.path_engine().warm_workspace(route_ws);
   path.edges.reserve(soa.num_map_nodes + 1);
@@ -51,42 +50,16 @@ bool fast_what_if_cut(const SnapshotSoA& soa, const std::vector<core::ConduitId>
   }
   for (const std::uint8_t hit : scratch.isp_hit) out.isps_hit += hit;
 
-  // Post-cut connectivity over the uncut node set: union-find in dense
-  // index space (severed nodes stay as singleton components).
-  const std::size_t n = soa.num_map_nodes;
-  if (n < 2) {
-    out.connected_fraction_after = 1.0;
-    out.components_after = n;
-    return true;
-  }
-  scratch.uf_parent.resize(n);
-  for (std::size_t i = 0; i < n; ++i) scratch.uf_parent[i] = static_cast<std::uint32_t>(i);
-  auto* parent = scratch.uf_parent.data();
-  const auto find = [parent](std::uint32_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
+  // Post-cut connectivity over the uncut node set (severed nodes stay as
+  // singleton components).
+  Connectivity& sets = scratch.connectivity;
+  sets.reset(soa.num_map_nodes);
   for (std::size_t c = 0; c < num_conduits; ++c) {
     if (scratch.conduit_cut[c]) continue;
-    const std::uint32_t a = find(soa.node_dense[soa.conduit_a[c]]);
-    const std::uint32_t b = find(soa.node_dense[soa.conduit_b[c]]);
-    if (a != b) parent[a] = b;
+    sets.unite(soa.node_dense[soa.conduit_a[c]], soa.node_dense[soa.conduit_b[c]]);
   }
-  scratch.component_size.assign(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    ++scratch.component_size[find(static_cast<std::uint32_t>(i))];
-  }
-  double connected_pairs = 0.0;
-  for (const std::uint32_t size : scratch.component_size) {
-    if (size == 0) continue;
-    ++out.components_after;
-    connected_pairs += 0.5 * static_cast<double>(size) * static_cast<double>(size - 1);
-  }
-  const double nodes = static_cast<double>(n);
-  out.connected_fraction_after = connected_pairs / (0.5 * nodes * (nodes - 1.0));
+  out.connected_fraction_after = sets.pair_fraction();
+  out.components_after = sets.components();
   return true;
 }
 

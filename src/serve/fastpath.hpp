@@ -24,6 +24,7 @@
 
 #include "route/path_engine.hpp"
 #include "serve/snapshot.hpp"
+#include "util/connectivity.hpp"
 
 namespace intertubes::serve::fastpath {
 
@@ -38,8 +39,7 @@ struct RequestScratch {
   std::vector<core::ConduitId> cut_ids;     ///< sorted, deduplicated cut set
   std::vector<std::uint8_t> conduit_cut;    ///< bitmap indexed by ConduitId
   std::vector<std::uint8_t> isp_hit;        ///< bitmap indexed by IspId
-  std::vector<std::uint32_t> uf_parent;     ///< union-find over dense nodes
-  std::vector<std::uint32_t> component_size;
+  Connectivity connectivity;                ///< over the dense node index
 
   // hamming-neighbors: (distance, other-isp), sorted ascending
   std::vector<std::pair<std::uint64_t, std::uint32_t>> hamming;
@@ -80,9 +80,8 @@ inline std::size_t fast_top_conduits(const SnapshotSoA& soa, std::size_t k) noex
 /// Sever `cuts` (unsorted, possibly duplicated) and measure the blast
 /// radius.  Returns false when a cut id is out of range (scratch.cut_ids
 /// holds the sorted set, so .back() is the offender); true on success
-/// with `out` filled.  Bit-identical to the old hash-map connectivity
-/// scan: same union order, and the connected-pair terms are exact
-/// integers in double, so the sum is order-independent.
+/// with `out` filled.  The connected-pair count is an exact integer, so
+/// the fraction is bit-identical to a per-component sum in double.
 bool fast_what_if_cut(const SnapshotSoA& soa, const std::vector<core::ConduitId>& cuts,
                       RequestScratch& scratch, CutImpact& out);
 

@@ -5,49 +5,21 @@
 
 #include "traceroute/campaign.hpp"
 #include "util/check.hpp"
+#include "util/connectivity.hpp"
 
 namespace intertubes::serve {
 
 namespace {
 
 /// The uncut-map connectivity baseline, precomputed once per snapshot so
-/// what-if-cut queries only ever pay for the *after* side.  Union-find
-/// over the dense node index; the pair-count terms are exact integers in
-/// double, so the sum is bit-identical to the old per-query hash-map scan
-/// regardless of accumulation order.
+/// what-if-cut queries only ever pay for the *after* side.
 void derive_base_connectivity(const core::FiberMap& map, SnapshotSoA& soa) {
-  const std::size_t n = soa.num_map_nodes;
-  if (n < 2) {
-    soa.connected_fraction_before = 1.0;
-    soa.components_before = n;
-    return;
-  }
-  std::vector<std::uint32_t> parent(n);
-  for (std::size_t i = 0; i < n; ++i) parent[i] = static_cast<std::uint32_t>(i);
-  const auto find = [&parent](std::uint32_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
+  Connectivity sets(soa.num_map_nodes);
   for (const auto& conduit : map.conduits()) {
-    const std::uint32_t a = find(soa.node_dense[conduit.a]);
-    const std::uint32_t b = find(soa.node_dense[conduit.b]);
-    if (a != b) parent[a] = b;
+    sets.unite(soa.node_dense[conduit.a], soa.node_dense[conduit.b]);
   }
-  std::vector<std::uint32_t> component_size(n, 0);
-  for (std::size_t i = 0; i < n; ++i) ++component_size[find(static_cast<std::uint32_t>(i))];
-  double connected_pairs = 0.0;
-  std::size_t components = 0;
-  for (const std::uint32_t size : component_size) {
-    if (size == 0) continue;
-    ++components;
-    connected_pairs += 0.5 * static_cast<double>(size) * static_cast<double>(size - 1);
-  }
-  const double nodes = static_cast<double>(n);
-  soa.connected_fraction_before = connected_pairs / (0.5 * nodes * (nodes - 1.0));
-  soa.components_before = components;
+  soa.connected_fraction_before = sets.pair_fraction();
+  soa.components_before = sets.components();
 }
 
 /// Build every flat projection the fast path streams over.

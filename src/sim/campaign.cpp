@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <numeric>
 
 #include "risk/geo_hazard.hpp"
 #include "util/check.hpp"
+#include "util/connectivity.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -54,16 +54,8 @@ CampaignEngine::CampaignEngine(const core::FiberMap& map, const transport::CityD
   IT_CHECK_MSG(probes_per_conduit.empty() || probes_per_conduit.size() == num_conduits,
                "probe vector must match the conduit count");
 
-  // Compact city-index adjacency snapshot.
-  std::map<CityId, std::uint32_t> index_of;
-  for (CityId node : map.nodes()) index_of.emplace(node, static_cast<std::uint32_t>(index_of.size()));
-  adjacency_.resize(index_of.size());
-  for (const auto& conduit : map.conduits()) {
-    const std::uint32_t u = index_of.at(conduit.a);
-    const std::uint32_t v = index_of.at(conduit.b);
-    adjacency_[u].emplace_back(v, conduit.id);
-    adjacency_[v].emplace_back(u, conduit.id);
-  }
+  num_nodes_ = map.nodes().size();
+  conduit_ends_ = map.conduit_node_indexes();
 
   links_using_.resize(num_conduits);
   link_isp_.reserve(map.links().size());
@@ -95,35 +87,6 @@ CampaignEngine::CampaignEngine(const core::FiberMap& map, const transport::CityD
       city_weights_.push_back(static_cast<double>(city.population));
     }
   }
-}
-
-void CampaignEngine::connectivity(const std::vector<char>& dead, double& pair_fraction,
-                                  std::size_t& components) const {
-  const std::size_t n = adjacency_.size();
-  std::vector<char> visited(n, 0);
-  components = 0;
-  double connected_pairs = 0.0;
-  std::vector<std::uint32_t> stack;
-  for (std::uint32_t start = 0; start < n; ++start) {
-    if (visited[start]) continue;
-    ++components;
-    std::size_t size = 0;
-    stack.assign(1, start);
-    visited[start] = 1;
-    while (!stack.empty()) {
-      const std::uint32_t u = stack.back();
-      stack.pop_back();
-      ++size;
-      for (const auto& [v, cid] : adjacency_[u]) {
-        if (dead[cid] || visited[v]) continue;
-        visited[v] = 1;
-        stack.push_back(v);
-      }
-    }
-    connected_pairs += static_cast<double>(size) * static_cast<double>(size - 1) / 2.0;
-  }
-  const double total_pairs = static_cast<double>(n) * static_cast<double>(n - 1) / 2.0;
-  pair_fraction = total_pairs > 0.0 ? connected_pairs / total_pairs : 1.0;
 }
 
 std::vector<std::vector<ConduitId>> CampaignEngine::draw_cuts(const Stressor& stressor,
@@ -162,14 +125,20 @@ std::vector<std::vector<ConduitId>> CampaignEngine::draw_cuts(const Stressor& st
 
 TrialResult CampaignEngine::run_trial(const Stressor& stressor, std::uint64_t seed,
                                       std::size_t trial) const {
+  return evaluate_cuts(draw_cuts(stressor, seed, trial));
+}
+
+TrialResult CampaignEngine::evaluate_cuts(
+    const std::vector<std::vector<ConduitId>>& cut_sets) const {
   const std::size_t num_conduits = map_.conduits().size();
-  const auto cut_sets = draw_cuts(stressor, seed, trial);
+  const std::size_t steps = cut_sets.size();
 
   TrialResult result;
   result.isp_links_lost.assign(map_.num_isps(), 0);
-  result.points.reserve(stressor.steps + 1);
+  result.points.resize(steps + 1);
 
-  std::vector<char> dead(num_conduits, 0);
+  // A conduit that a later step strikes again keeps its first step.
+  std::vector<std::uint32_t> first_death(num_conduits, kNeverDies);
   std::vector<char> link_hit(link_isp_.size(), 0);
   std::vector<char> isp_hit(map_.num_isps(), 0);
   std::size_t conduits_down = 0;
@@ -177,9 +146,10 @@ TrialResult CampaignEngine::run_trial(const Stressor& stressor, std::uint64_t se
   std::size_t isps_hit = 0;
   double weight_lost = 0.0;
 
-  auto kill = [&](ConduitId cid) {
-    if (dead[cid]) return;
-    dead[cid] = 1;
+  auto kill = [&](ConduitId cid, std::size_t step) {
+    IT_CHECK(cid < num_conduits);
+    if (first_death[cid] != kNeverDies) return;
+    first_death[cid] = static_cast<std::uint32_t>(step);
     ++conduits_down;
     weight_lost += conduit_weight_[cid];
     for (LinkId lid : links_using_[cid]) {
@@ -194,18 +164,24 @@ TrialResult CampaignEngine::run_trial(const Stressor& stressor, std::uint64_t se
     }
   };
 
-  for (std::size_t step = 0; step <= stressor.steps; ++step) {
+  for (std::size_t step = 0; step <= steps; ++step) {
     if (step > 0) {
-      for (ConduitId cid : cut_sets[step - 1]) kill(cid);
+      for (ConduitId cid : cut_sets[step - 1]) kill(cid, step);
     }
-    TrialPoint point;
+    TrialPoint& point = result.points[step];
     point.conduits_down = conduits_down;
-    connectivity(dead, point.connected_pair_fraction, point.components);
     point.links_hit = links_hit;
     point.isps_hit = isps_hit;
     point.weight_lost = total_weight_ > 0.0 ? weight_lost / total_weight_ : 0.0;
-    result.points.push_back(point);
   }
+
+  Connectivity sets;
+  sets.read_steps_in_reverse(
+      num_nodes_, first_death, steps, [this](std::uint32_t cid) { return conduit_ends_[cid]; },
+      [&result](std::size_t step, const Connectivity& graph) {
+        result.points[step].components = graph.components();
+        result.points[step].connected_pair_fraction = graph.pair_fraction();
+      });
   return result;
 }
 

@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/fiber_map.hpp"
@@ -56,10 +57,11 @@ struct CampaignConfig {
   std::uint64_t seed = 0x1257;
 };
 
-/// Immutable per-map context shared by every trial thread: a compact
-/// adjacency snapshot (FiberMap's lazily grown adjacency is never touched
-/// from trial threads), conduit→links and link→ISP tables, the targeted
-/// failure order, per-conduit risk weights, and city population weights.
+/// Immutable per-map context shared by every trial thread: each conduit's
+/// endpoints as dense node indexes (FiberMap's lazily grown adjacency is
+/// never touched from trial threads), conduit→links and link→ISP tables,
+/// the targeted failure order, per-conduit risk weights, and city
+/// population weights.
 class CampaignEngine {
  public:
   /// `cities`/`row` are required only for the CorrelatedHazards stressor.
@@ -73,8 +75,16 @@ class CampaignEngine {
 
   const core::FiberMap& map() const noexcept { return map_; }
 
-  /// One trial, a pure function of (stressor, seed, trial).
+  /// One trial, a pure function of (stressor, seed, trial):
+  /// evaluate_cuts(draw_cuts(stressor, seed, trial)).
   TrialResult run_trial(const Stressor& stressor, std::uint64_t seed, std::size_t trial) const;
+
+  /// The curve of one trial from its per-step cut draws (entry s strikes at
+  /// step s+1; ids may repeat within and across steps, and a step may be
+  /// empty).  Link and ISP damage and weight_lost come from a forward pass
+  /// in kill order; connectivity from one reverse union-find pass over the
+  /// steps (util/connectivity.hpp).
+  TrialResult evaluate_cuts(const std::vector<std::vector<core::ConduitId>>& cut_sets) const;
 
   /// The per-step cut draws of one trial: entry s holds the conduits the
   /// stressor strikes at step s+1 (one id for cut stressors — empty past
@@ -91,15 +101,21 @@ class CampaignEngine {
   /// Convenience: run on the process-wide default executor.
   CampaignReport run(const CampaignConfig& config) const;
 
- private:
-  void connectivity(const std::vector<char>& dead, double& pair_fraction,
-                    std::size_t& components) const;
+  /// Nodes of the conduit graph (map().nodes()), and each conduit's
+  /// endpoints as indexes into them — the edge list the connectivity
+  /// kernel unites, shared with the cascade engine.
+  std::size_t num_nodes() const noexcept { return num_nodes_; }
+  const std::vector<std::pair<std::uint32_t, std::uint32_t>>& conduit_ends() const noexcept {
+    return conduit_ends_;
+  }
 
+ private:
   const core::FiberMap& map_;
   const transport::CityDatabase* cities_ = nullptr;
   const transport::RightOfWayRegistry* row_ = nullptr;
 
-  std::vector<std::vector<std::pair<std::uint32_t, core::ConduitId>>> adjacency_;
+  std::size_t num_nodes_ = 0;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> conduit_ends_;  // [conduit]
   std::vector<std::vector<core::LinkId>> links_using_;  // [conduit] → link ids
   std::vector<isp::IspId> link_isp_;                    // [link] → ISP
   std::vector<core::ConduitId> targeted_order_;         // most shared first

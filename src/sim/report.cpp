@@ -30,9 +30,10 @@ CurvePoint aggregate_samples(const std::vector<double>& values, InfPolicy policy
     return point;
   }
   point.mean = sum / static_cast<double>(kept.size());
-  point.p5 = percentile(kept, 5.0);
-  point.p50 = percentile(kept, 50.0);
-  point.p95 = percentile(std::move(kept), 95.0);
+  std::sort(kept.begin(), kept.end());
+  point.p5 = percentile_of_sorted(kept, 5.0);
+  point.p50 = percentile_of_sorted(kept, 50.0);
+  point.p95 = percentile_of_sorted(kept, 95.0);
   return point;
 }
 

@@ -34,15 +34,19 @@ double RunningStats::standard_error() const noexcept {
 }
 
 double percentile(std::vector<double> values, double p) {
-  IT_CHECK(!values.empty());
-  IT_CHECK(p >= 0.0 && p <= 100.0);
   std::sort(values.begin(), values.end());
-  if (values.size() == 1) return values.front();
-  const double rank = (p / 100.0) * static_cast<double>(values.size() - 1);
+  return percentile_of_sorted(values, p);
+}
+
+double percentile_of_sorted(const std::vector<double>& sorted, double p) {
+  IT_CHECK(!sorted.empty());
+  IT_CHECK(p >= 0.0 && p <= 100.0);
+  if (sorted.size() == 1) return sorted.front();
+  const double rank = (p / 100.0) * static_cast<double>(sorted.size() - 1);
   const auto lo = static_cast<std::size_t>(std::floor(rank));
   const auto hi = static_cast<std::size_t>(std::ceil(rank));
   const double frac = rank - static_cast<double>(lo);
-  return values[lo] + frac * (values[hi] - values[lo]);
+  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
 double quartile25(const std::vector<double>& values) { return percentile(values, 25.0); }

@@ -36,6 +36,10 @@ class RunningStats {
 /// order statistics (the common "type 7" definition).  Sorts a copy.
 double percentile(std::vector<double> values, double p);
 
+/// The same percentile of a sample already sorted ascending, so several
+/// percentiles of one sample share one sort.
+double percentile_of_sorted(const std::vector<double>& sorted, double p);
+
 /// Quartile convenience wrappers.
 double quartile25(const std::vector<double>& values);
 double median(const std::vector<double>& values);

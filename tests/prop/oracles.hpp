@@ -36,10 +36,19 @@
 //      full route_forest row, every round): identical CascadeOutcome on
 //      generated maps with random demand weights, cuts, margins and
 //      round caps.
+//   O11 reverse_pass_property / cascade_round_structure_property — the
+//      reverse union-find pass (util/connectivity.hpp) vs the per-step
+//      forward DFS it replaced: every step of a campaign trial and of a
+//      failure curve bit-identical on generated maps with repeated ids,
+//      empty steps, isolated nodes, parallel conduits and 0- and 1-node
+//      maps; and every cascade round's giant component and L3 metrics
+//      equal to brute-force BFS over that round's dead set on the
+//      scenario world with its L3 topology.
 #pragma once
 
 #include <algorithm>
 #include <limits>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -50,13 +59,16 @@
 #include "optimize/robustness.hpp"
 #include "prop/generators.hpp"
 #include "prop/prop.hpp"
+#include "risk/cuts.hpp"
 #include "risk/risk_matrix.hpp"
 #include "route/path_engine.hpp"
 #include "serve/snapshot.hpp"
 #include "sim/campaign.hpp"
 #include "sim/executor.hpp"
 #include "test_support.hpp"
+#include "traceroute/l3_topology.hpp"
 #include "util/diag.hpp"
+#include "util/rng.hpp"
 
 namespace intertubes::testing::oracles {
 
@@ -83,6 +95,7 @@ enum class Fault {
   CorruptDatasetLine,      ///< O8: append a malformed record to the input
   SearchDropsTarget,       ///< O9: the search is not told about one target
   ReferenceKeepsFirstReroute, ///< O10: reference never re-routes a re-routed demand
+  ReferenceKillsRepeatLate, ///< O11: reference applies a repeated id at its last step
 };
 
 constexpr double kInfinity = std::numeric_limits<double>::infinity();
@@ -780,6 +793,453 @@ inline prop::Gen<CascadeCase> cascade_cases(const prop::MapGenParams& params = {
     out << "}, weights{";
     for (std::size_t i = 0; i < c.weights.size(); ++i) out << (i ? "," : "") << c.weights[i];
     out << "}, " << prop::describe(c.map) << "}";
+    return out.str();
+  };
+  return gen;
+}
+
+// --- O11: reverse connectivity pass vs the per-step forward DFS --------
+
+struct ForwardConnectivity {
+  std::size_t components = 0;
+  double pair_fraction = 1.0;
+};
+
+/// The per-step forward DFS the connectivity kernel replaced, kept as the
+/// reference: components and connected-pair fraction of the conduit graph
+/// over map.nodes() with the `dead` conduits removed.
+inline ForwardConnectivity forward_connectivity(const core::FiberMap& map,
+                                                const std::vector<char>& dead) {
+  std::map<transport::CityId, std::uint32_t> index_of;
+  for (transport::CityId node : map.nodes()) {
+    index_of.emplace(node, static_cast<std::uint32_t>(index_of.size()));
+  }
+  const std::size_t n = index_of.size();
+  std::vector<std::vector<std::pair<std::uint32_t, core::ConduitId>>> adjacency(n);
+  for (const auto& conduit : map.conduits()) {
+    const std::uint32_t u = index_of.at(conduit.a);
+    const std::uint32_t v = index_of.at(conduit.b);
+    adjacency[u].emplace_back(v, conduit.id);
+    adjacency[v].emplace_back(u, conduit.id);
+  }
+  ForwardConnectivity result;
+  std::vector<char> visited(n, 0);
+  double connected_pairs = 0.0;
+  std::vector<std::uint32_t> stack;
+  for (std::uint32_t start = 0; start < n; ++start) {
+    if (visited[start]) continue;
+    ++result.components;
+    std::size_t size = 0;
+    stack.assign(1, start);
+    visited[start] = 1;
+    while (!stack.empty()) {
+      const std::uint32_t u = stack.back();
+      stack.pop_back();
+      ++size;
+      for (const auto& [v, cid] : adjacency[u]) {
+        if (dead[cid] || visited[v]) continue;
+        visited[v] = 1;
+        stack.push_back(v);
+      }
+    }
+    connected_pairs += static_cast<double>(size) * static_cast<double>(size - 1) / 2.0;
+  }
+  const double total_pairs = static_cast<double>(n) * static_cast<double>(n - 1) / 2.0;
+  result.pair_fraction = total_pairs > 0.0 ? connected_pairs / total_pairs : 1.0;
+  return result;
+}
+
+/// risk::failure_curve recomputed with the forward DFS at every failure
+/// count: the same per-trial orders, summed in trial order.
+inline std::vector<risk::FailurePoint> reference_failure_curve(const core::FiberMap& map,
+                                                               risk::FailureStrategy strategy,
+                                                               std::size_t max_failures,
+                                                               std::size_t trials,
+                                                               std::uint64_t seed) {
+  const std::size_t num_conduits = map.conduits().size();
+  if (num_conduits == 0) {
+    risk::FailurePoint base;
+    base.connected_pair_fraction = 1.0;
+    return {base};
+  }
+  max_failures = std::min(max_failures, num_conduits);
+  if (strategy == risk::FailureStrategy::MostSharedFirst) trials = 1;
+  std::vector<risk::FailurePoint> curve(max_failures + 1);
+  for (std::size_t f = 0; f <= max_failures; ++f) curve[f].failed = f;
+  for (std::size_t trial = 0; trial < trials; ++trial) {
+    std::vector<core::ConduitId> order(num_conduits);
+    for (core::ConduitId c = 0; c < num_conduits; ++c) order[c] = c;
+    if (strategy == risk::FailureStrategy::Random) {
+      Rng rng(mix64(seed ^ (0x9e37ULL * (trial + 1))));
+      rng.shuffle(order);
+    } else {
+      std::stable_sort(order.begin(), order.end(), [&map](core::ConduitId x, core::ConduitId y) {
+        return map.conduit(x).tenants.size() > map.conduit(y).tenants.size();
+      });
+    }
+    std::vector<char> dead(num_conduits, 0);
+    for (std::size_t f = 0; f <= max_failures; ++f) {
+      if (f > 0) dead[order[f - 1]] = 1;
+      const auto step = forward_connectivity(map, dead);
+      curve[f].connected_pair_fraction += step.pair_fraction;
+      curve[f].components += static_cast<double>(step.components);
+    }
+  }
+  for (auto& point : curve) {
+    point.connected_pair_fraction /= static_cast<double>(trials);
+    point.components /= static_cast<double>(trials);
+  }
+  return curve;
+}
+
+struct FailureSequenceCase {
+  prop::MapSpec map;
+  /// Cut draws per step: ids may repeat within and across steps, a step
+  /// may be empty, and ids past the map are dropped.
+  std::vector<std::vector<core::ConduitId>> steps;
+  bool most_shared_first = false;  ///< failure_curve strategy
+  std::size_t max_failures = 4;
+  std::size_t trials = 2;
+  std::uint64_t seed = 1;
+};
+
+inline prop::Property<FailureSequenceCase> reverse_pass_property(Fault fault = Fault::None) {
+  return [fault](const FailureSequenceCase& c) -> std::optional<std::string> {
+    const auto map = prop::build_fiber_map(c.map);
+    const std::size_t num_conduits = map.conduits().size();
+    std::vector<std::vector<core::ConduitId>> steps;
+    for (const auto& step : c.steps) {
+      steps.emplace_back();
+      for (core::ConduitId cid : step) {
+        if (cid < num_conduits) steps.back().push_back(cid);
+      }
+    }
+
+    // A conduit is dead from the first step that strikes it (the fault
+    // moves a repeated id to its last step).
+    const sim::CampaignEngine engine(map);
+    const auto trial = engine.evaluate_cuts(steps);
+    std::vector<std::size_t> death_step(num_conduits, steps.size() + 1);
+    for (std::size_t s = 0; s < steps.size(); ++s) {
+      for (core::ConduitId cid : steps[s]) {
+        if (fault == Fault::ReferenceKillsRepeatLate || death_step[cid] > steps.size()) {
+          death_step[cid] = s + 1;
+        }
+      }
+    }
+    if (trial.points.size() != steps.size() + 1) return "trial has the wrong number of points";
+    for (std::size_t s = 0; s <= steps.size(); ++s) {
+      std::vector<char> dead(num_conduits, 0);
+      for (core::ConduitId cid = 0; cid < num_conduits; ++cid) dead[cid] = death_step[cid] <= s;
+      const auto expected = forward_connectivity(map, dead);
+      const auto& got = trial.points[s];
+      if (got.components != expected.components ||
+          got.connected_pair_fraction != expected.pair_fraction) {
+        std::ostringstream out;
+        out.precision(17);
+        out << "campaign step " << s << ": components " << got.components << "/"
+            << expected.components << ", connected " << got.connected_pair_fraction << "/"
+            << expected.pair_fraction;
+        return out.str();
+      }
+    }
+
+    const auto strategy = c.most_shared_first ? risk::FailureStrategy::MostSharedFirst
+                                              : risk::FailureStrategy::Random;
+    const auto curve = risk::failure_curve(map, strategy, c.max_failures, c.trials, c.seed);
+    const auto expected_curve =
+        reference_failure_curve(map, strategy, c.max_failures, c.trials, c.seed);
+    if (curve.size() != expected_curve.size()) return "failure curve has the wrong length";
+    for (std::size_t f = 0; f < curve.size(); ++f) {
+      if (curve[f].failed != expected_curve[f].failed ||
+          curve[f].connected_pair_fraction != expected_curve[f].connected_pair_fraction ||
+          curve[f].components != expected_curve[f].components) {
+        std::ostringstream out;
+        out.precision(17);
+        out << "failure curve point " << f << ": connected " << curve[f].connected_pair_fraction
+            << "/" << expected_curve[f].connected_pair_fraction << ", components "
+            << curve[f].components << "/" << expected_curve[f].components;
+        return out.str();
+      }
+    }
+    return std::nullopt;
+  };
+}
+
+inline prop::Gen<FailureSequenceCase> failure_sequence_cases(
+    const prop::MapGenParams& params = {}) {
+  const auto maps = prop::fiber_maps(params);
+  prop::Gen<FailureSequenceCase> gen;
+  gen.create = [maps](Rng& rng) {
+    FailureSequenceCase c;
+    // A conduit whose both ends are `city`: the city's only conduit
+    // leaves it an isolated node.
+    const auto self_loop = [](transport::CityId city) {
+      prop::ConduitSpec loop;
+      loop.a = loop.b = city;
+      return loop;
+    };
+    const double shape = rng.uniform(0.0, 1.0);
+    if (shape < 0.05) {
+      c.map.num_cities = 0;  // no conduits, no nodes
+    } else if (shape < 0.1) {
+      c.map.num_cities = 1;
+      c.map.conduits.push_back(self_loop(0));
+    } else {
+      c.map = maps.create(rng);
+      // Parallel conduits and isolated nodes.
+      const std::size_t extras = rng.next_below(3);
+      for (std::size_t k = 0; k < extras; ++k) {
+        if (rng.chance(0.5)) {
+          const auto& twin = c.map.conduits[rng.next_below(c.map.conduits.size())];
+          prop::ConduitSpec parallel;
+          parallel.a = twin.a;
+          parallel.b = twin.b;
+          c.map.conduits.push_back(parallel);
+        } else {
+          c.map.conduits.push_back(self_loop(static_cast<transport::CityId>(c.map.num_cities++)));
+        }
+      }
+    }
+    const std::size_t num_conduits = c.map.conduits.size();
+    const std::size_t num_steps = rng.next_below(8);
+    for (std::size_t s = 0; s < num_steps; ++s) {
+      std::vector<core::ConduitId> step;
+      if (num_conduits > 0) {
+        const std::size_t cuts = rng.next_below(4);  // 0: an empty step
+        for (std::size_t k = 0; k < cuts; ++k) {
+          step.push_back(static_cast<core::ConduitId>(rng.next_below(num_conduits)));
+        }
+        // Strike an earlier step's conduit again.
+        if (s > 0 && !c.steps[s - 1].empty() && rng.chance(0.5)) {
+          step.push_back(c.steps[s - 1][rng.next_below(c.steps[s - 1].size())]);
+        }
+      }
+      c.steps.push_back(std::move(step));
+    }
+    c.most_shared_first = rng.chance(0.5);
+    c.max_failures = rng.next_below(num_conduits + 2);
+    c.trials = 1 + rng.next_below(4);
+    c.seed = rng.next_u64();
+    return c;
+  };
+  gen.shrink = [maps](const FailureSequenceCase& c) {
+    std::vector<FailureSequenceCase> candidates;
+    for (auto& smaller : maps.shrink(c.map)) {
+      FailureSequenceCase copy = c;
+      copy.map = std::move(smaller);
+      candidates.push_back(std::move(copy));
+    }
+    if (!c.steps.empty()) {
+      FailureSequenceCase fewer = c;
+      fewer.steps.pop_back();
+      candidates.push_back(std::move(fewer));
+    }
+    for (std::size_t s = 0; s < c.steps.size(); ++s) {
+      if (c.steps[s].empty()) continue;
+      FailureSequenceCase smaller = c;
+      smaller.steps[s].erase(smaller.steps[s].begin());
+      candidates.push_back(std::move(smaller));
+    }
+    if (c.trials > 1) {
+      FailureSequenceCase fewer = c;
+      fewer.trials = c.trials / 2;
+      candidates.push_back(std::move(fewer));
+    }
+    if (c.max_failures > 0) {
+      FailureSequenceCase fewer = c;
+      fewer.max_failures = c.max_failures / 2;
+      candidates.push_back(std::move(fewer));
+    }
+    return candidates;
+  };
+  gen.describe = [](const FailureSequenceCase& c) {
+    std::ostringstream out;
+    out << "FailureSequenceCase{steps{";
+    for (std::size_t s = 0; s < c.steps.size(); ++s) {
+      out << (s ? " " : "") << "[";
+      for (std::size_t k = 0; k < c.steps[s].size(); ++k) out << (k ? "," : "") << c.steps[s][k];
+      out << "]";
+    }
+    out << "}, " << (c.most_shared_first ? "most shared first" : "random")
+        << ", max_failures=" << c.max_failures << ", trials=" << c.trials << ", seed=" << c.seed
+        << ", " << prop::describe(c.map) << "}";
+    return out.str();
+  };
+  return gen;
+}
+
+/// Independent giant-component oracle: plain BFS over the conduit list,
+/// no shared code with the connectivity kernel.
+inline double brute_force_giant(const core::FiberMap& map, const std::vector<char>& dead) {
+  const auto& nodes = map.nodes();
+  if (nodes.size() < 2) return 1.0;
+  std::vector<std::vector<transport::CityId>> adj;
+  const auto index_of = [&nodes](transport::CityId city) {
+    return static_cast<std::size_t>(
+        std::lower_bound(nodes.begin(), nodes.end(), city) - nodes.begin());
+  };
+  adj.resize(nodes.size());
+  for (const auto& conduit : map.conduits()) {
+    if (dead[conduit.id]) continue;
+    adj[index_of(conduit.a)].push_back(conduit.b);
+    adj[index_of(conduit.b)].push_back(conduit.a);
+  }
+  std::vector<char> visited(nodes.size(), 0);
+  std::size_t giant = 0;
+  for (std::size_t start = 0; start < nodes.size(); ++start) {
+    if (visited[start]) continue;
+    std::size_t size = 0;
+    std::vector<std::size_t> frontier{start};
+    visited[start] = 1;
+    while (!frontier.empty()) {
+      const std::size_t u = frontier.back();
+      frontier.pop_back();
+      ++size;
+      for (transport::CityId city : adj[u]) {
+        const std::size_t v = index_of(city);
+        if (!visited[v]) {
+          visited[v] = 1;
+          frontier.push_back(v);
+        }
+      }
+    }
+    giant = std::max(giant, size);
+  }
+  return static_cast<double>(giant) / static_cast<double>(nodes.size());
+}
+
+struct L3Damage {
+  double edges_dead = 0.0;
+  double reachability = 1.0;
+};
+
+/// Independent L3 oracle: an L3 edge dies iff any of its corridors maps
+/// (through the public conduit_for_corridor) onto a dead conduit; peering
+/// edges have no corridors and never die.  Reachability by BFS over the
+/// surviving router graph.
+inline L3Damage brute_force_l3(const core::FiberMap& map, const traceroute::L3Topology& l3,
+                               const std::vector<char>& dead) {
+  const auto& edges = l3.edges();
+  std::size_t dead_edges = 0;
+  std::vector<std::vector<traceroute::RouterIdx>> adj(l3.routers().size());
+  for (const auto& edge : edges) {
+    bool edge_dead = false;
+    for (transport::CorridorId corridor : edge.corridors) {
+      const auto cid = map.conduit_for_corridor(corridor);
+      if (cid && dead[*cid]) {
+        edge_dead = true;
+        break;
+      }
+    }
+    if (edge_dead) {
+      ++dead_edges;
+    } else {
+      adj[edge.u].push_back(edge.v);
+      adj[edge.v].push_back(edge.u);
+    }
+  }
+  const std::size_t n = l3.routers().size();
+  std::vector<char> visited(n, 0);
+  double connected = 0.0;
+  for (std::size_t start = 0; start < n; ++start) {
+    if (visited[start]) continue;
+    std::size_t size = 0;
+    std::vector<traceroute::RouterIdx> frontier{static_cast<traceroute::RouterIdx>(start)};
+    visited[start] = 1;
+    while (!frontier.empty()) {
+      const auto u = frontier.back();
+      frontier.pop_back();
+      ++size;
+      for (traceroute::RouterIdx v : adj[u]) {
+        if (!visited[v]) {
+          visited[v] = 1;
+          frontier.push_back(v);
+        }
+      }
+    }
+    const double s = static_cast<double>(size);
+    connected += s * (s - 1.0) / 2.0;
+  }
+  const double total = static_cast<double>(n) * (static_cast<double>(n) - 1.0) / 2.0;
+  L3Damage damage;
+  damage.reachability = n < 2 ? 1.0 : connected / total;
+  damage.edges_dead =
+      edges.empty() ? 0.0 : static_cast<double>(dead_edges) / static_cast<double>(edges.size());
+  return damage;
+}
+
+struct CascadeRoundCase {
+  std::vector<core::ConduitId> cuts;  ///< may repeat
+  double margin = 0.0;
+  std::size_t max_rounds = 4;
+};
+
+/// Every run_cascade round's structure vs brute-force BFS over that
+/// round's dead set: the cuts plus the overload failures of every wave up
+/// to that round.  `engine` must carry `l3` and be built over `map`.
+inline prop::Property<CascadeRoundCase> cascade_round_structure_property(
+    const cascade::CascadeEngine& engine, const core::FiberMap& map,
+    const traceroute::L3Topology& l3) {
+  return [&engine, &map, &l3](const CascadeRoundCase& c) -> std::optional<std::string> {
+    cascade::CascadeParams params;
+    params.capacity_margin = c.margin;
+    params.max_rounds = c.max_rounds;
+    const auto outcome = engine.run_cascade(c.cuts, params);
+    std::vector<char> dead(map.conduits().size(), 0);
+    for (core::ConduitId cid : c.cuts) dead[cid] = 1;
+    std::size_t applied = 0;
+    for (const auto& round : outcome.rounds) {
+      for (; applied < round.overload_failed; ++applied) {
+        dead[outcome.overload_failures[applied]] = 1;
+      }
+      const double giant = brute_force_giant(map, dead);
+      const auto damage = brute_force_l3(map, l3, dead);
+      if (round.giant_component != giant || round.l3_edges_dead != damage.edges_dead ||
+          round.l3_reachability != damage.reachability) {
+        std::ostringstream out;
+        out.precision(17);
+        out << "round " << round.round << ": giant " << round.giant_component << "/" << giant
+            << ", L3 dead " << round.l3_edges_dead << "/" << damage.edges_dead << ", L3 reach "
+            << round.l3_reachability << "/" << damage.reachability;
+        return out.str();
+      }
+    }
+    return std::nullopt;
+  };
+}
+
+inline prop::Gen<CascadeRoundCase> cascade_round_cases(std::size_t num_conduits) {
+  const auto cuts = prop::cut_sets(num_conduits, 12);
+  prop::Gen<CascadeRoundCase> gen;
+  gen.create = [cuts](Rng& rng) {
+    CascadeRoundCase c;
+    c.cuts = cuts.create(rng);
+    // A zero margin fails every conduit a re-routed demand pushes past
+    // its baseline, so the rounds' dead sets keep growing.
+    c.margin = rng.chance(0.5) ? 0.0 : rng.uniform(0.0, 0.5);
+    c.max_rounds = 1 + rng.next_below(6);
+    return c;
+  };
+  gen.shrink = [cuts](const CascadeRoundCase& c) {
+    std::vector<CascadeRoundCase> candidates;
+    for (auto& smaller : cuts.shrink(c.cuts)) {
+      CascadeRoundCase copy = c;
+      copy.cuts = std::move(smaller);
+      candidates.push_back(std::move(copy));
+    }
+    if (c.max_rounds > 1) {
+      CascadeRoundCase shorter = c;
+      shorter.max_rounds = c.max_rounds / 2;
+      candidates.push_back(std::move(shorter));
+    }
+    return candidates;
+  };
+  gen.describe = [cuts](const CascadeRoundCase& c) {
+    std::ostringstream out;
+    out.precision(17);
+    out << "CascadeRoundCase{margin=" << c.margin << ", max_rounds=" << c.max_rounds << ", "
+        << cuts.describe(c.cuts) << "}";
     return out.str();
   };
   return gen;

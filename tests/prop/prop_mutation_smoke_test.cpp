@@ -127,6 +127,14 @@ TEST(PropMutationSmoke, DetectsReferenceKeepingFirstReroute) {
   });
 }
 
+TEST(PropMutationSmoke, DetectsReferenceKillingRepeatLate) {
+  expect_fault_detected([](const prop::Config& config) {
+    return prop::check<oracles::FailureSequenceCase>(
+        "smoke_reference_kills_repeat_late", oracles::failure_sequence_cases(),
+        oracles::reverse_pass_property(Fault::ReferenceKillsRepeatLate), config);
+  });
+}
+
 TEST(PropMutationSmoke, DetectsCorruptDatasetLine) {
   const auto& scenario = shared_scenario();
   const std::size_t num_isps = std::min<std::size_t>(4, scenario.truth().profiles().size());

@@ -3,7 +3,9 @@
 // byte-identical to their serial runs for any thread count — not just on
 // the canonical scenario the unit tests pin, but across the whole space
 // of valid maps the generators can produce.  The planner's reroutes that
-// feed the scan are checked against masked point queries alongside.
+// feed the scan are checked against masked point queries alongside, and
+// every step of a campaign trial and a failure curve against the forward
+// DFS the reverse connectivity pass replaced (oracle O11).
 #include <gtest/gtest.h>
 
 #include "oracles.hpp"
@@ -18,6 +20,12 @@ TEST(PropSim, CampaignReportsBitIdenticalAcrossExecutors) {
   EXPECT_PROP(prop::check<oracles::CampaignCase>("campaign_parallel_vs_serial",
                                                  oracles::campaign_cases(),
                                                  oracles::campaign_bit_identity_property()));
+}
+
+TEST(PropSim, ReversePassMatchesForwardDfs) {
+  EXPECT_PROP(prop::check<oracles::FailureSequenceCase>("reverse_pass_vs_forward_dfs",
+                                                        oracles::failure_sequence_cases(),
+                                                        oracles::reverse_pass_property()));
 }
 
 TEST(PropSim, NetworkWideGainBitIdenticalAcrossExecutors) {
