@@ -119,12 +119,18 @@ void FiberMap::prepare_for_concurrent_reads() const {
 }
 
 std::vector<CityId> FiberMap::nodes() const {
-  std::set<CityId> cities;
+  // One flag per city id up to the largest endpoint, read back in id order.
+  std::vector<char> is_node;
   for (const auto& c : conduits_) {
-    cities.insert(c.a);
-    cities.insert(c.b);
+    const std::size_t top = std::max(c.a, c.b);
+    if (top >= is_node.size()) is_node.resize(top + 1, 0);
+    is_node[c.a] = is_node[c.b] = 1;
   }
-  return {cities.begin(), cities.end()};
+  std::vector<CityId> cities;
+  for (CityId id = 0; id < is_node.size(); ++id) {
+    if (is_node[id]) cities.push_back(id);
+  }
+  return cities;
 }
 
 std::vector<std::pair<std::uint32_t, std::uint32_t>> FiberMap::conduit_node_indexes() const {
