@@ -58,7 +58,7 @@ void print_artifact() {
 }
 
 void BM_AssessHazard(benchmark::State& state) {
-  risk::HazardRegion region;
+  sim::HazardRegion region;
   region.center = core::Scenario::cities()
                       .city(*core::Scenario::cities().find("Chicago, IL"))
                       .location;

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   const auto& cities = core::Scenario::cities();
   const auto& map = scenario.map();
 
-  risk::HazardRegion region;
+  sim::HazardRegion region;
   region.radius_km = radius_km;
   if (epicenter.empty()) {
     region = risk::worst_case_placement(map, cities, scenario.row(), radius_km, 100.0);

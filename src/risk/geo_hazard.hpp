@@ -7,27 +7,19 @@
 // models a hazard as a disc on the map, finds the conduits it severs, and
 // quantifies the service and connectivity impact — including the
 // worst-case disaster placement, which is what infrastructure sharing
-// concentrates.
+// concentrates.  The disc geometry (sim::HazardRegion, conduits_in_region,
+// draw_hazard_region) lives in sim/campaign.hpp, and every impact here is
+// step 1 of sim::CampaignEngine::evaluate_cuts on one disc.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "core/fiber_map.hpp"
+#include "sim/campaign.hpp"
 #include "transport/row.hpp"
 
 namespace intertubes::risk {
-
-struct HazardRegion {
-  geo::GeoPoint center;
-  double radius_km = 100.0;
-};
-
-/// Conduits whose route passes within the region (geometry from the ROW
-/// registry's corridor paths).
-std::vector<core::ConduitId> conduits_in_region(const core::FiberMap& map,
-                                                const transport::RightOfWayRegistry& row,
-                                                const HazardRegion& region);
 
 struct HazardImpact {
   std::size_t conduits_cut = 0;
@@ -38,7 +30,7 @@ struct HazardImpact {
 
 /// Assess one disaster.
 HazardImpact assess_hazard(const core::FiberMap& map, const transport::RightOfWayRegistry& row,
-                           const HazardRegion& region);
+                           const sim::HazardRegion& region);
 
 /// Monte-Carlo study: disasters strike at population-weighted random
 /// locations (severe weather correlates with where people build).
@@ -48,7 +40,7 @@ struct HazardStudy {
   double mean_conduits_cut = 0.0;
   double mean_connectivity = 1.0;
   /// Worst observed sample.
-  HazardRegion worst_region;
+  sim::HazardRegion worst_region;
   HazardImpact worst_impact;
 };
 
@@ -58,10 +50,10 @@ HazardStudy hazard_study(const core::FiberMap& map, const transport::CityDatabas
 
 /// Deterministic worst-case placement: grid-search disaster centers over
 /// the map's extent and return the one maximizing links hit.
-HazardRegion worst_case_placement(const core::FiberMap& map,
-                                  const transport::CityDatabase& cities,
-                                  const transport::RightOfWayRegistry& row, double radius_km,
-                                  double grid_step_km = 75.0);
+sim::HazardRegion worst_case_placement(const core::FiberMap& map,
+                                       const transport::CityDatabase& cities,
+                                       const transport::RightOfWayRegistry& row,
+                                       double radius_km, double grid_step_km = 75.0);
 
 /// Per-ISP hazard exposure: expected fraction of the ISP's links severed
 /// by a population-weighted random disaster of the given radius.  The

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "risk/geo_hazard.hpp"
 #include "util/check.hpp"
 #include "util/connectivity.hpp"
 #include "util/rng.hpp"
@@ -46,6 +45,28 @@ std::uint64_t stressor_salt(StressorKind kind) {
 
 }  // namespace
 
+std::vector<ConduitId> conduits_in_region(const core::FiberMap& map,
+                                          const transport::RightOfWayRegistry& row,
+                                          const HazardRegion& region) {
+  IT_CHECK(region.radius_km > 0.0);
+  std::vector<ConduitId> hit;
+  for (const auto& conduit : map.conduits()) {
+    const auto& path = row.corridor(conduit.corridor).path;
+    // Cheap reject via the expanded bounding box, then exact distance.
+    if (!path.bounds().expanded_km(region.radius_km).contains(region.center)) continue;
+    if (path.distance_to_km(region.center) <= region.radius_km) hit.push_back(conduit.id);
+  }
+  return hit;
+}
+
+HazardRegion draw_hazard_region(const transport::CityDatabase& cities,
+                                const std::vector<double>& weights, double radius_km, Rng& rng) {
+  const auto& anchor = cities.city(static_cast<CityId>(rng.weighted_pick(weights)));
+  const double distance_km = std::abs(rng.normal(0.0, radius_km));
+  const double bearing_deg = rng.uniform(0.0, 360.0);
+  return {geo::destination(anchor.location, bearing_deg, distance_km), radius_km};
+}
+
 CampaignEngine::CampaignEngine(const core::FiberMap& map, const transport::CityDatabase* cities,
                                const transport::RightOfWayRegistry* row,
                                std::vector<std::uint64_t> probes_per_conduit)
@@ -57,11 +78,19 @@ CampaignEngine::CampaignEngine(const core::FiberMap& map, const transport::CityD
   num_nodes_ = map.nodes().size();
   conduit_ends_ = map.conduit_node_indexes();
 
-  links_using_.resize(num_conduits);
+  // Counting sort of (conduit, link) incidences by conduit; links keep
+  // their order within each conduit's row.
+  link_offsets_.assign(num_conduits + 1, 0);
   link_isp_.reserve(map.links().size());
   for (const auto& link : map.links()) {
     link_isp_.push_back(link.isp);
-    for (ConduitId cid : link.conduits) links_using_[cid].push_back(link.id);
+    for (ConduitId cid : link.conduits) ++link_offsets_[cid + 1];
+  }
+  for (std::size_t c = 0; c < num_conduits; ++c) link_offsets_[c + 1] += link_offsets_[c];
+  link_ids_.resize(link_offsets_.back());
+  std::vector<std::uint32_t> fill(link_offsets_.begin(), link_offsets_.end() - 1);
+  for (const auto& link : map.links()) {
+    for (ConduitId cid : link.conduits) link_ids_[fill[cid]++] = link.id;
   }
 
   targeted_order_.resize(num_conduits);
@@ -110,12 +139,9 @@ std::vector<std::vector<ConduitId>> CampaignEngine::draw_cuts(const Stressor& st
   std::vector<std::vector<ConduitId>> cuts(stressor.steps);
   for (std::size_t step = 1; step <= stressor.steps; ++step) {
     if (stressor.kind == StressorKind::CorrelatedHazards) {
-      const auto anchor = cities_->city(static_cast<CityId>(rng.weighted_pick(city_weights_)));
-      risk::HazardRegion region;
-      region.center = geo::destination(anchor.location, rng.uniform(0.0, 360.0),
-                                       std::abs(rng.normal(0.0, stressor.hazard_radius_km)));
-      region.radius_km = stressor.hazard_radius_km;
-      cuts[step - 1] = risk::conduits_in_region(map_, *row_, region);
+      cuts[step - 1] = conduits_in_region(
+          map_, *row_,
+          draw_hazard_region(*cities_, city_weights_, stressor.hazard_radius_km, rng));
     } else if (step - 1 < order.size()) {
       cuts[step - 1].push_back(order[step - 1]);
     }
@@ -152,7 +178,8 @@ TrialResult CampaignEngine::evaluate_cuts(
     first_death[cid] = static_cast<std::uint32_t>(step);
     ++conduits_down;
     weight_lost += conduit_weight_[cid];
-    for (LinkId lid : links_using_[cid]) {
+    for (std::uint32_t k = link_offsets_[cid]; k < link_offsets_[cid + 1]; ++k) {
+      const LinkId lid = link_ids_[k];
       if (link_hit[lid]) continue;
       link_hit[lid] = 1;
       ++links_hit;

@@ -1,4 +1,5 @@
-// Monte-Carlo failure-campaign driver.
+// Monte-Carlo failure-campaign driver, and the one failure-propagation
+// core.
 //
 // §4 frames "how many fiber cuts partition the US long-haul
 // infrastructure" as the key security question; §7 grounds the correlated
@@ -9,6 +10,10 @@
 // link damage, risk-weighted conduit loss), and aggregates them into
 // percentile curves on a sim::Executor.  Trial t draws from RNG substream
 // (seed, t), so a campaign's report is bit-identical for any thread count.
+//
+// CampaignEngine::evaluate_cuts is where any cut sequence becomes damage:
+// the risk/ cut curves and hazard analyses are drivers over it, and the
+// disaster-disc geometry they share lives here.
 #pragma once
 
 #include <cstddef>
@@ -21,8 +26,30 @@
 #include "sim/report.hpp"
 #include "transport/cities.hpp"
 #include "transport/row.hpp"
+#include "util/rng.hpp"
 
 namespace intertubes::sim {
+
+/// A regional disaster: a disc on the map that severs every conduit whose
+/// route passes through it.
+struct HazardRegion {
+  geo::GeoPoint center;
+  double radius_km = 100.0;
+};
+
+/// Conduits whose route passes within the region (geometry from the ROW
+/// registry's corridor paths).
+std::vector<core::ConduitId> conduits_in_region(const core::FiberMap& map,
+                                                const transport::RightOfWayRegistry& row,
+                                                const HazardRegion& region);
+
+/// A disaster centred near (not exactly on) a population centre: an anchor
+/// city drawn by `weights` (indexed by CityId), then a distance
+/// |N(0, radius_km)| km, then a uniform bearing — three draws into named
+/// locals, in that order, so the stream does not depend on the compiler's
+/// argument-evaluation order.
+HazardRegion draw_hazard_region(const transport::CityDatabase& cities,
+                                const std::vector<double>& weights, double radius_km, Rng& rng);
 
 enum class StressorKind : std::uint8_t {
   RandomCuts,         ///< one uniformly random conduit fails per step (backhoes)
@@ -59,9 +86,9 @@ struct CampaignConfig {
 
 /// Immutable per-map context shared by every trial thread: each conduit's
 /// endpoints as dense node indexes (FiberMap's lazily grown adjacency is
-/// never touched from trial threads), conduit→links and link→ISP tables,
-/// the targeted failure order, per-conduit risk weights, and city
-/// population weights.
+/// never touched from trial threads), a conduit→links CSR table and a
+/// link→ISP table, the targeted failure order, per-conduit risk weights,
+/// and city population weights.
 class CampaignEngine {
  public:
   /// `cities`/`row` are required only for the CorrelatedHazards stressor.
@@ -116,10 +143,13 @@ class CampaignEngine {
 
   std::size_t num_nodes_ = 0;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> conduit_ends_;  // [conduit]
-  std::vector<std::vector<core::LinkId>> links_using_;  // [conduit] → link ids
-  std::vector<isp::IspId> link_isp_;                    // [link] → ISP
-  std::vector<core::ConduitId> targeted_order_;         // most shared first
-  std::vector<double> conduit_weight_;                  // [conduit] risk weight
+  // Links using conduit c, in link order: link_ids_[link_offsets_[c],
+  // link_offsets_[c + 1]).
+  std::vector<std::uint32_t> link_offsets_;
+  std::vector<core::LinkId> link_ids_;
+  std::vector<isp::IspId> link_isp_;             // [link] → ISP
+  std::vector<core::ConduitId> targeted_order_;  // most shared first
+  std::vector<double> conduit_weight_;           // [conduit] risk weight
   double total_weight_ = 0.0;
   std::vector<double> city_weights_;  // [city] population (hazard anchors)
 };

@@ -11,10 +11,10 @@ namespace {
 
 const core::Scenario& scenario() { return testing::shared_scenario(); }
 
-HazardRegion region_at(const char* city_name, double radius_km) {
+sim::HazardRegion region_at(const char* city_name, double radius_km) {
   const auto id = core::Scenario::cities().find(city_name);
   EXPECT_TRUE(id.has_value()) << city_name;
-  HazardRegion region;
+  sim::HazardRegion region;
   region.center = core::Scenario::cities().city(*id).location;
   region.radius_km = radius_km;
   return region;
@@ -23,24 +23,24 @@ HazardRegion region_at(const char* city_name, double radius_km) {
 TEST(GeoHazard, RegionOverHubCutsManyConduits) {
   // A 100 km disaster over Chicago severs every conduit touching it.
   const auto cut =
-      conduits_in_region(scenario().map(), scenario().row(), region_at("Chicago, IL", 100.0));
+      sim::conduits_in_region(scenario().map(), scenario().row(), region_at("Chicago, IL", 100.0));
   const auto chicago = core::Scenario::cities().find("Chicago, IL");
   EXPECT_GE(cut.size(), scenario().map().conduits_at(*chicago).size());
 }
 
 TEST(GeoHazard, RemoteRegionCutsLittle) {
   // Mid-ocean disaster: nothing to cut.
-  HazardRegion atlantic;
+  sim::HazardRegion atlantic;
   atlantic.center = {35.0, -60.0};
   atlantic.radius_km = 200.0;
-  EXPECT_TRUE(conduits_in_region(scenario().map(), scenario().row(), atlantic).empty());
+  EXPECT_TRUE(sim::conduits_in_region(scenario().map(), scenario().row(), atlantic).empty());
 }
 
 TEST(GeoHazard, RadiusMonotone) {
   const auto small =
-      conduits_in_region(scenario().map(), scenario().row(), region_at("Denver, CO", 50.0));
+      sim::conduits_in_region(scenario().map(), scenario().row(), region_at("Denver, CO", 50.0));
   const auto large =
-      conduits_in_region(scenario().map(), scenario().row(), region_at("Denver, CO", 250.0));
+      sim::conduits_in_region(scenario().map(), scenario().row(), region_at("Denver, CO", 250.0));
   EXPECT_GE(large.size(), small.size());
   // Every conduit in the small region is in the large one.
   for (auto cid : small) {
@@ -60,7 +60,7 @@ TEST(GeoHazard, AssessCountsConsistent) {
 }
 
 TEST(GeoHazard, EmptyRegionImpactIsNeutral) {
-  HazardRegion nowhere;
+  sim::HazardRegion nowhere;
   nowhere.center = {30.0, -60.0};
   nowhere.radius_km = 50.0;
   const auto impact = assess_hazard(scenario().map(), scenario().row(), nowhere);
@@ -120,10 +120,10 @@ TEST(GeoHazard, IspExposureBounded) {
 }
 
 TEST(GeoHazard, RejectsBadInputs) {
-  HazardRegion bad;
+  sim::HazardRegion bad;
   bad.center = {40.0, -100.0};
   bad.radius_km = 0.0;
-  EXPECT_THROW(conduits_in_region(scenario().map(), scenario().row(), bad), std::logic_error);
+  EXPECT_THROW(sim::conduits_in_region(scenario().map(), scenario().row(), bad), std::logic_error);
   EXPECT_THROW(hazard_study(scenario().map(), core::Scenario::cities(), scenario().row(), 100.0,
                             0, 1),
                std::logic_error);
