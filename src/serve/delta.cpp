@@ -132,8 +132,9 @@ std::shared_ptr<Snapshot> LiveMap::rebuild(const std::string& note) const {
     IT_CHECK(nid.has_value());  // live-ness was validated at apply time
     for (const isp::IspId tenant : tenants) map.add_tenant(*nid, tenant);
   }
-  // Links: severed when any conduit they ride is cut, identical to the
-  // with_conduits_cut contract; conduit ids remap via corridor identity.
+  // Links: severed when any conduit they ride is cut (the what-if cut,
+  // Snapshot::with_conduits_cut, runs through here too); conduit ids
+  // remap via corridor identity.
   for (const auto& link : old_map.links()) {
     std::vector<core::ConduitId> remapped;
     remapped.reserve(link.conduits.size());

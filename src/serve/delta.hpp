@@ -3,8 +3,8 @@
 //
 // Conduit ids are reassigned on every map rebuild, so a delta cannot name
 // a conduit by id across epochs; transport::CorridorId is the stable
-// cross-epoch key (the same identity with_conduits_cut uses to carry
-// tenancy over).  A LiveMap holds the pristine base snapshot plus the
+// cross-epoch key (Snapshot::with_conduits_cut translates its conduit ids
+// into a corridor-cut batch applied here).  A LiveMap holds the pristine base snapshot plus the
 // *cumulative* mutation state (cut corridors, added conduits, extra
 // tenants) and rebuilds the mutated map from that state on every apply —
 // one deterministic code path, so applying batches one at a time or all

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "serve/delta.hpp"
 #include "traceroute/campaign.hpp"
 #include "util/check.hpp"
 #include "util/connectivity.hpp"
@@ -24,7 +25,6 @@ void derive_base_connectivity(const core::FiberMap& map, SnapshotSoA& soa) {
 
 /// Build every flat projection the fast path streams over.
 SnapshotSoA derive_soa(const core::FiberMap& map, const risk::RiskMatrix& matrix,
-                       const std::vector<risk::RiskMatrix::IspRisk>& ranking,
                        std::size_t num_cities) {
   SnapshotSoA soa;
   const std::size_t num_conduits = map.conduits().size();
@@ -43,7 +43,7 @@ SnapshotSoA derive_soa(const core::FiberMap& map, const risk::RiskMatrix& matrix
 
   // O(1) shared-risk rows (the ranking covers every IspId exactly once).
   soa.risk_by_isp.assign(soa.num_isps, {});
-  for (const auto& row : ranking) soa.risk_by_isp[row.isp] = row;
+  for (const auto& row : matrix.isp_risk_ranking()) soa.risk_by_isp[row.isp] = row;
 
   // The full most-shared ordering; any top-k is a prefix copy.
   soa.conduits_by_tenancy = matrix.most_shared_conduits(num_conduits);
@@ -96,8 +96,7 @@ SnapshotSoA derive_soa(const core::FiberMap& map, const risk::RiskMatrix& matrix
 void Snapshot::derive() {
   matrix_ = risk::RiskMatrix::from_map(map_);
   sharing_table_ = matrix_.conduits_shared_by_at_least();
-  risk_ranking_ = matrix_.isp_risk_ranking();
-  soa_ = derive_soa(map_, matrix_, risk_ranking_, world_.cities->size());
+  soa_ = derive_soa(map_, matrix_, world_.cities->size());
   // Compile the conduit graph for city-pair path queries.
   std::vector<route::EdgeSpec> edges;
   edges.reserve(map_.conduits().size());
@@ -140,49 +139,23 @@ std::shared_ptr<Snapshot> Snapshot::with_conduits_cut(const Snapshot& base,
                                                       std::vector<core::ConduitId> cuts) {
   std::sort(cuts.begin(), cuts.end());
   cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
-  const auto& old_map = base.map();
-  for (core::ConduitId c : cuts) IT_CHECK(c < old_map.conduits().size());
-
-  const auto is_cut = [&cuts](core::ConduitId c) {
-    return std::binary_search(cuts.begin(), cuts.end(), c);
-  };
-
-  const auto& row = *base.world_.row;
-  std::size_t links_severed = 0;
-  core::FiberMap map(old_map.num_isps());
-  // Surviving conduits keep tenancy (including overlay-inferred tenants
-  // with no surviving link) and validation state.  Ids are re-assigned;
-  // corridor identity is what carries over.
-  for (const auto& conduit : old_map.conduits()) {
-    if (is_cut(conduit.id)) continue;
-    const core::ConduitId nid =
-        map.ensure_conduit(row.corridor(conduit.corridor), conduit.provenance);
-    for (isp::IspId tenant : conduit.tenants) map.add_tenant(nid, tenant);
-    if (conduit.validated) map.mark_validated(nid);
-  }
-  for (const auto& link : old_map.links()) {
-    std::vector<core::ConduitId> remapped;
-    remapped.reserve(link.conduits.size());
-    bool severed = false;
-    for (core::ConduitId cid : link.conduits) {
-      if (is_cut(cid)) {
-        severed = true;
-        break;
-      }
-      remapped.push_back(*map.conduit_for_corridor(old_map.conduit(cid).corridor));
-    }
-    if (severed) {
-      ++links_severed;
-      continue;
-    }
-    map.add_link(link.isp, link.a, link.b, remapped, link.geocoded);
-  }
-
+  // Corridor identity is what a conduit id names across map rebuilds, so
+  // the cut is one corridor-cut batch on the live-delta path
+  // (FiberMap::conduit rejects an out-of-range id).
+  DeltaBatch batch;
   std::ostringstream label;
   label << base.label_ << " - cut {";
-  for (std::size_t i = 0; i < cuts.size(); ++i) label << (i ? "," : "") << cuts[i];
+  for (std::size_t i = 0; i < cuts.size(); ++i) {
+    batch.cut.push_back(base.map_.conduit(cuts[i]).corridor);
+    label << (i ? "," : "") << cuts[i];
+  }
   label << "}";
-  return with_map(base, std::move(map), label.str(), links_severed);
+  // LiveMap keeps nothing of its base past apply() (with_map copies the
+  // world view and L3 handle), so a non-owning handle to `base` will do.
+  const std::shared_ptr<const Snapshot> borrowed(std::shared_ptr<const Snapshot>{}, &base);
+  auto snap = LiveMap(borrowed).apply(batch);
+  snap->label_ = label.str();
+  return snap;
 }
 
 std::shared_ptr<Snapshot> Snapshot::with_map(const Snapshot& base, core::FiberMap map,

@@ -45,7 +45,7 @@ struct SnapshotSoA {
   std::size_t words_per_isp = 0;
   std::vector<std::uint64_t> usage_bits;
   /// Per-ISP shared-risk row indexed by IspId (zeros for ISPs using no
-  /// conduits) — O(1) lookup vs scanning risk_ranking() per query.
+  /// conduits) — O(1) lookup vs scanning RiskMatrix::isp_risk_ranking().
   std::vector<risk::RiskMatrix::IspRisk> risk_by_isp;
 
   // --- conduit columns (top-k / city-path hops) -----------------------
@@ -100,12 +100,14 @@ class Snapshot {
     return build(core::WorldView::of(std::move(scenario)), std::move(options));
   }
 
-  /// A what-if world: `cuts` (conduit ids of *base's* map) severed.  The
-  /// surviving conduits keep their tenancy and validation state; links
-  /// that traversed a cut conduit are severed (dropped).  Derived
-  /// artifacts are recomputed against the cut map.  The base scenario and
-  /// L3 topology are shared; the overlay is dropped (its probe evidence
-  /// refers to the uncut world).
+  /// A what-if world: `cuts` (conduit ids of *base's* map, deduplicated;
+  /// an out-of-range id throws std::logic_error) severed, by applying one
+  /// corridor-cut DeltaBatch through serve::LiveMap.  The surviving
+  /// conduits keep their tenancy and validation state; links that
+  /// traversed a cut conduit are severed (dropped).  Derived artifacts are
+  /// recomputed against the cut map.  The base scenario and L3 topology
+  /// are shared; the overlay is dropped (its probe evidence refers to the
+  /// uncut world).  The label is base's plus " - cut {ids}".
   static std::shared_ptr<Snapshot> with_conduits_cut(const Snapshot& base,
                                                      std::vector<core::ConduitId> cuts);
 
@@ -114,7 +116,7 @@ class Snapshot {
   /// next epoch through here).  The base world and L3 topology are
   /// shared; the overlay is dropped (its probe evidence refers to the
   /// base map).  `links_severed` records base-map links the mutation
-  /// dropped, for parity with with_conduits_cut().
+  /// dropped.
   static std::shared_ptr<Snapshot> with_map(const Snapshot& base, core::FiberMap map,
                                             std::string label, std::size_t links_severed = 0);
 
@@ -138,12 +140,9 @@ class Snapshot {
   /// path (see serve/fastpath.hpp); derived once per snapshot.
   const SnapshotSoA& soa() const noexcept { return soa_; }
 
-  /// Precomputed sharing tables: conduits_shared_by_at_least (Fig. 6
-  /// series) and the per-ISP risk ranking, both derived from matrix().
+  /// Precomputed conduits_shared_by_at_least (Fig. 6 series), derived
+  /// from matrix().  The per-ISP risk rows are soa().risk_by_isp.
   const std::vector<std::size_t>& sharing_table() const noexcept { return sharing_table_; }
-  const std::vector<risk::RiskMatrix::IspRisk>& risk_ranking() const noexcept {
-    return risk_ranking_;
-  }
 
   /// Links of the base map severed by the cut (0 for non-what-if
   /// snapshots).
@@ -179,7 +178,6 @@ class Snapshot {
   std::shared_ptr<const traceroute::L3Topology> l3_;
   std::shared_ptr<const traceroute::OverlayResult> overlay_;
   std::vector<std::size_t> sharing_table_;
-  std::vector<risk::RiskMatrix::IspRisk> risk_ranking_;
   SnapshotSoA soa_;
   std::shared_ptr<const route::PathEngine> path_engine_;
   std::shared_ptr<const cascade::CascadeEngine> cascade_;

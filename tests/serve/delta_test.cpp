@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "core/dataset_io.hpp"
 #include "test_support.hpp"
@@ -66,6 +68,10 @@ transport::CorridorId free_corridor() {
 }
 
 TEST(ServeDelta, CutBatchMatchesWithConduitsCut) {
+  // with_conduits_cut is a corridor-cut batch on this same path, so this
+  // pins its conduit id → corridor translation (ids listed in reverse and
+  // repeated); the full-rebuild test below and the O7 oracle are the
+  // independent references.
   const auto& base = *base_snapshot();
   const auto targets = base.matrix().most_shared_conduits(2);
   const auto corridors = shared_corridors();
@@ -74,9 +80,12 @@ TEST(ServeDelta, CutBatchMatchesWithConduitsCut) {
   DeltaBatch batch;
   batch.cut = corridors;
   const auto by_delta = live.apply(batch);
-  const auto by_rebuild = Snapshot::with_conduits_cut(base, {targets[0], targets[1]});
+  const auto by_ids = Snapshot::with_conduits_cut(base, {targets[1], targets[0], targets[1]});
   ASSERT_GT(by_delta->links_severed(), 0u);
-  expect_identical(*by_delta, *by_rebuild);
+  expect_identical(*by_delta, *by_ids);
+  EXPECT_EQ(by_ids->label(), base.label() + " - cut {" +
+                                 std::to_string(std::min(targets[0], targets[1])) + "," +
+                                 std::to_string(std::max(targets[0], targets[1])) + "}");
 }
 
 TEST(ServeDelta, SequentialAndMergedBatchesAreByteIdentical) {

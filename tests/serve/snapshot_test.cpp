@@ -30,7 +30,7 @@ TEST(ServeSnapshot, BuildDerivesArtifactsFromScenario) {
   EXPECT_EQ(snap->map().links().size(), scenario.map().links().size());
   EXPECT_EQ(snap->matrix().num_conduits(), scenario.map().conduits().size());
   EXPECT_EQ(snap->matrix().num_isps(), scenario.map().num_isps());
-  EXPECT_FALSE(snap->risk_ranking().empty());
+  EXPECT_EQ(snap->soa().risk_by_isp.size(), scenario.map().num_isps());
   EXPECT_FALSE(snap->sharing_table().empty());
   // Every conduit has >= 1 tenant, so the k=1 sharing count is all of them.
   EXPECT_EQ(snap->sharing_table()[0], snap->map().conduits().size());
@@ -79,7 +79,7 @@ TEST(ServeSnapshot, PublishAssignsStrictlyIncreasingEpochs) {
   EXPECT_EQ(store.current().get(), second.get());
   // The replaced snapshot stays valid for holders of the old pointer.
   EXPECT_EQ(first->epoch(), e1);
-  EXPECT_FALSE(first->risk_ranking().empty());
+  EXPECT_FALSE(first->soa().risk_by_isp.empty());
 }
 
 TEST(ServeSnapshot, WhatIfCutSeversExactlyTheAffectedLinks) {
@@ -151,8 +151,8 @@ TEST(ServeSnapshot, SwapUnderConcurrentReadersIsSafe) {
         const auto snap = store.current();
         ASSERT_NE(snap, nullptr);
         // Touch the artifacts a real query touches.
-        const auto& ranking = snap->risk_ranking();
-        ASSERT_FALSE(ranking.empty());
+        const auto& risk_rows = snap->soa().risk_by_isp;
+        ASSERT_FALSE(risk_rows.empty());
         const auto& first_city = snap->map().conduits().front().a;
         ASSERT_FALSE(snap->map().conduits_at(first_city).empty());
         ASSERT_GT(snap->matrix().num_conduits(), 0u);
