@@ -7,6 +7,7 @@
 // targeted failure curves — where "targeted" fails the most-shared
 // conduits first, the scenario infrastructure sharing makes worse — and
 // the minimum conduit cut between two cities (unit-capacity max-flow).
+// The curves are drivers over sim::CampaignEngine::evaluate_cuts.
 #pragma once
 
 #include <cstdint>
