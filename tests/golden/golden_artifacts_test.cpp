@@ -1,6 +1,7 @@
 // Golden-artifact regression tests: the Table 1 / Figure 6 / Figure 10
 // renderings of the canonical scenario, its serialized dataset, a small
-// traceroute campaign over it, a set of cascade outcomes, the failure
+// traceroute campaign over it, the overlay of the shared campaign, the
+// Figure 11 expansion sweep, a set of cascade outcomes, the failure
 // analyses' connectivity outputs and the risk/ cut and hazard analyses,
 // pinned byte-for-byte against checked-in fixtures.  The renderers in
 // src/artifact are the same code the bench harnesses print, so any
@@ -21,6 +22,7 @@
 #include "artifact/renderers.hpp"
 #include "cascade/cascade.hpp"
 #include "core/dataset_io.hpp"
+#include "optimize/expansion.hpp"
 #include "risk/cuts.hpp"
 #include "risk/geo_hazard.hpp"
 #include "risk/risk_matrix.hpp"
@@ -114,6 +116,56 @@ std::string exact(double value) {
   char buf[64];
   const auto result = std::to_chars(buf, buf + sizeof buf, value);
   return std::string(buf, result.ptr);
+}
+
+TEST(GoldenArtifacts, Expansion) {
+  // Figure 11's greedy build-out at full precision: every ISP at k = 5 on
+  // the canonical world, with the corridor each step adds, the average
+  // shared risk and improvement ratio after it, and the demands left
+  // without a route.
+  const auto& scenario = shared_scenario();
+  std::ostringstream out;
+  for (isp::IspId isp = 0; isp < scenario.map().num_isps(); ++isp) {
+    const auto result = optimize::optimize_expansion(scenario.map(), scenario.row(), isp, 5);
+    out << "isp " << isp << ": baseline " << exact(result.baseline_avg_shared_risk)
+        << ", unreachable " << result.unreachable_demands << "\n";
+    for (const auto& step : result.steps) {
+      out << "  added ";
+      if (step.added == transport::kNoCorridor) {
+        out << "none";
+      } else {
+        out << step.added;
+      }
+      out << ": avg " << exact(step.avg_shared_risk) << ", improvement "
+          << exact(step.improvement_ratio) << ", unreachable " << step.unreachable_demands
+          << "\n";
+    }
+  }
+  check_golden("expansion.golden", out.str());
+}
+
+TEST(GoldenArtifacts, Overlay) {
+  // The §4.3 overlay of the shared 60 000-probe campaign onto the
+  // canonical map: segment accounting, every conduit's probes by direction
+  // and observed ISPs, and the attribution accuracy against ground truth.
+  const auto& map = shared_scenario().map();
+  const auto& campaign = shared_campaign();
+  const auto overlay = traceroute::overlay_campaign(map, core::Scenario::cities(), campaign);
+  std::ostringstream out;
+  out << "segments mapped " << overlay.mapped_segments << ", unmapped "
+      << overlay.unmapped_segments << "\n";
+  for (core::ConduitId cid = 0; cid < overlay.usage.size(); ++cid) {
+    const auto& usage = overlay.usage[cid];
+    out << "conduit " << cid << ": w->e " << usage.probes_west_east << ", e->w "
+        << usage.probes_east_west << ", isps";
+    for (isp::IspId isp : usage.observed_isps) out << ' ' << isp;
+    out << "\n";
+  }
+  const auto accuracy = traceroute::evaluate_overlay_accuracy(map, campaign);
+  out << "accuracy: precision " << exact(accuracy.corridor_precision) << ", recall "
+      << exact(accuracy.corridor_recall) << ", fully correct "
+      << exact(accuracy.flows_fully_correct) << ", probes " << accuracy.probes_evaluated << "\n";
+  check_golden("overlay.golden", out.str());
 }
 
 std::string render_outcome(const cascade::CascadeOutcome& outcome) {
