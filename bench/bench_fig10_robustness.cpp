@@ -10,7 +10,6 @@
 #include "artifact/renderers.hpp"
 #include "bench_support.hpp"
 #include "optimize/robustness.hpp"
-#include "sim/executor.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -36,34 +35,6 @@ void print_artifact() {
   const double wall_ms =
       std::chrono::duration<double, std::milli>(wall_end - wall_start).count();
   std::cout << "\nartifact wall time " << format_double(wall_ms, 1) << " ms\n";
-}
-
-// End-to-end artifact timing, serial vs parallel fan-out, printed once so
-// the figure harness documents the speedup of the shared-engine rewrite.
-void print_speedup() {
-  const auto& map = bench::scenario().map();
-  const auto target_set = targets();
-  const auto run = [&](sim::Executor* executor) {
-    const auto start = std::chrono::steady_clock::now();
-    optimize::RobustnessPlanner planner(map, bench::risk_matrix());
-    if (executor != nullptr) {
-      planner.summarize_robustness(target_set, *executor);
-      planner.network_wide_gain(12, *executor);
-    } else {
-      planner.summarize_robustness(target_set);
-      planner.network_wide_gain(12);
-    }
-    return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
-        .count();
-  };
-  const double serial_ms = run(nullptr);
-  sim::Executor pool;
-  const double parallel_ms = run(&pool);
-  std::cout << "end-to-end Fig 10 workload: serial " << format_double(serial_ms, 1)
-            << " ms, parallel (" << pool.num_threads() << " threads) "
-            << format_double(parallel_ms, 1) << " ms (speedup "
-            << format_double(serial_ms / std::max(parallel_ms, 1e-9), 2)
-            << "x, bit-identical output by the ordered-reduction contract)\n";
 }
 
 void BM_SuggestReroute(benchmark::State& state) {
@@ -93,6 +64,5 @@ BENCHMARK(BM_SummarizeRobustnessAllIsps)->Unit(benchmark::kMillisecond);
 int main(int argc, char** argv) {
   intertubes::bench::init(&argc, argv);
   print_artifact();
-  print_speedup();
   return intertubes::bench::run_benchmarks(argc, argv);
 }

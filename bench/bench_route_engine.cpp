@@ -113,7 +113,7 @@ void BM_RerouteFanout(benchmark::State& state) {
 BENCHMARK(BM_RerouteFanout)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 
 /// End-to-end Fig-10 workload on the shared planner: summary + network
-/// wide gain, both answered from one planner's forest table.
+/// wide gain, one masked search per target each reads.
 void BM_RobustnessPlannerEndToEnd(benchmark::State& state) {
   const auto targets = bench::risk_matrix().most_shared_conduits(12);
   for (auto _ : state) {

@@ -317,8 +317,8 @@ DistanceMatrix PathEngine::distance_rows(const std::vector<NodeId>& sources, con
   return matrix;
 }
 
-RouteForest PathEngine::route_forest(const std::vector<NodeId>& sources, const Query& query,
-                                     sim::Executor* executor) const {
+RouteForest PathEngine::route_forest(const std::vector<NodeId>& sources,
+                                     const Query& query) const {
   for (NodeId s : sources) IT_CHECK(s < num_nodes_);
   RouteForest forest;
   forest.sources = sources;
@@ -326,18 +326,11 @@ RouteForest PathEngine::route_forest(const std::vector<NodeId>& sources, const Q
   forest.dist.resize(sources.size() * num_nodes_);
   forest.via_edge.resize(sources.size() * num_nodes_);
   forest.via_node.resize(sources.size() * num_nodes_);
-  const auto fill = [&](std::size_t begin, std::size_t end) {
-    const auto lease = pool_.acquire();
-    for (std::size_t i = begin; i < end; ++i) {
-      const std::size_t base = i * num_nodes_;
-      forest_into(sources[i], query, *lease, forest.dist.data() + base,
-                  forest.via_edge.data() + base, forest.via_node.data() + base);
-    }
-  };
-  if (executor == nullptr || sources.size() < 2) {
-    fill(0, sources.size());
-  } else {
-    executor->for_each_chunk(0, sources.size(), /*chunk=*/0, fill);
+  const auto lease = pool_.acquire();
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    const std::size_t base = i * num_nodes_;
+    forest_into(sources[i], query, *lease, forest.dist.data() + base,
+                forest.via_edge.data() + base, forest.via_node.data() + base);
   }
   return forest;
 }

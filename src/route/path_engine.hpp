@@ -19,12 +19,13 @@
 //   * weight overrides — a per-edge cost functor (+inf forbids), the
 //     escape hatch for the ROW registry's custom WeightFn callers.
 //
-// Many-to-many workloads (the dissect/ all-pairs sweep, expansion and
-// robustness fan-outs) use distance_rows(): one full Dijkstra per source
-// written into a flat row-major DistanceMatrix, optionally parallelized
-// over sources on a sim::Executor — n sources cost n scratch passes
-// instead of n(n-1)/2 point-to-point queries.  A source that needs only a
-// few targets runs search_targets(): one Dijkstra that stops once every
+// Many-to-many workloads (the dissect/ all-pairs sweep) use
+// distance_rows(): one full Dijkstra per source written into a flat
+// row-major DistanceMatrix, optionally parallelized over sources on a
+// sim::Executor — n sources cost n scratch passes instead of n(n-1)/2
+// point-to-point queries.  A source that needs only a few targets (the
+// cascade rounds, the robustness and expansion planners, the traceroute
+// overlay) runs search_targets(): one Dijkstra that stops once every
 // target has settled, read back straight from the Workspace.
 // shortest_path() is its one-target case.
 //
@@ -246,12 +247,9 @@ class PathEngine {
                                sim::Executor* executor = nullptr) const;
 
   /// Batched shortest-path forests: one full Dijkstra per source with the
-  /// parent arrays kept, so callers that need the *paths* of a fan-out
-  /// (load accumulation, used-edge sets, reroute suggestions) pay one row
-  /// per source instead of one point-to-point query per pair.  Same
-  /// executor fan-out and determinism contract as distance_rows.
-  RouteForest route_forest(const std::vector<NodeId>& sources, const Query& query = {},
-                           sim::Executor* executor = nullptr) const;
+  /// parent arrays kept, for callers that read whole trees.  A caller that
+  /// reads a few targets per source runs search_targets instead.
+  RouteForest route_forest(const std::vector<NodeId>& sources, const Query& query = {}) const;
 
   /// Lease a Workspace from the engine's internal capped pool — what the
   /// convenience overloads use.  Allocation-free once the pool has warmed

@@ -18,11 +18,12 @@
 //   O3 override_rebuild_property — weight_override vs a rebuilt engine
 //      carrying the overridden weights: bit-identical paths.
 //   O4 planner_reroute_property  — RobustnessPlanner::suggest_reroute vs a
-//      masked shortest_path on a separately compiled engine, before and
-//      after the planner builds its forest table: identical edge lists.
+//      masked shortest_path on a separately compiled engine: identical
+//      edge lists for every conduit.
 //   O5 campaign_bit_identity_property — sim::CampaignEngine on Executor(1)
 //      vs Executor(4): byte-identical CampaignReport.
-//   O6 gain_bit_identity_property — network_wide_gain serial vs parallel.
+//   (O6 is retired: the robustness planner has no parallel overloads
+//      left to compare with its serial runs.)
 //   O7 whatif_cut_property       — serve::Snapshot::with_conduits_cut vs
 //      hand-computed survivor tenancy / severed-link accounting.
 //   O8 ingest_equivalence_property — strict vs lenient parse of a clean
@@ -90,7 +91,6 @@ enum class Fault {
   OverrideLeaksBaseWeight, ///< O3: rebuilt engine keeps one base weight
   RerouteReferenceIgnoresMask, ///< O4: reference reroute keeps the target conduit
   TamperSerialReport,      ///< O5: perturb one point of the serial report
-  TamperParallelGain,      ///< O6: perturb the parallel gain result
   MiscountSeveredLinks,    ///< O7: off-by-one severed-link expectation
   CorruptDatasetLine,      ///< O8: append a malformed record to the input
   SearchDropsTarget,       ///< O9: the search is not told about one target
@@ -299,29 +299,23 @@ inline prop::Property<prop::MapSpec> planner_reroute_property(Fault fault = Faul
       }
       return out + "}";
     };
-    const auto check_all = [&](const std::string& when) -> std::optional<std::string> {
-      for (const auto& conduit : map.conduits()) {
-        const std::vector<route::EdgeId> mask{conduit.id};
-        route::Query query;
-        if (fault != Fault::RerouteReferenceIgnoresMask) query.masked = &mask;
-        const auto expected = reference.shortest_path(conduit.a, conduit.b, query);
-        // The reroute does not depend on which ISP asks.
-        const auto got = planner.suggest_reroute(conduit.id, 0);
-        if (got.optimized_path != expected.edges) {
-          return when + ": reroute around conduit " + std::to_string(conduit.id) + " is " +
-                 render(got.optimized_path) + ", masked reference " + render(expected.edges);
-        }
+    for (const auto& conduit : map.conduits()) {
+      const std::vector<route::EdgeId> mask{conduit.id};
+      route::Query query;
+      if (fault != Fault::RerouteReferenceIgnoresMask) query.masked = &mask;
+      const auto expected = reference.shortest_path(conduit.a, conduit.b, query);
+      // The reroute does not depend on which ISP asks.
+      const auto got = planner.suggest_reroute(conduit.id, 0);
+      if (got.optimized_path != expected.edges) {
+        return "reroute around conduit " + std::to_string(conduit.id) + " is " +
+               render(got.optimized_path) + ", masked reference " + render(expected.edges);
       }
-      return std::nullopt;
-    };
-
-    if (auto diff = check_all("fresh planner")) return diff;
-    planner.network_wide_gain(3);  // builds the forest table
-    return check_all("after network_wide_gain");
+    }
+    return std::nullopt;
   };
 }
 
-// --- O5 / O6: parallel vs serial bit identity --------------------------
+// --- O5: parallel vs serial bit identity ------------------------------
 
 struct CampaignCase {
   prop::MapSpec map;
@@ -353,34 +347,6 @@ inline prop::Property<CampaignCase> campaign_bit_identity_property(Fault fault =
     }
     if (!(serial_report == parallel_report)) {
       return "campaign report differs between Executor(1) and Executor(4)";
-    }
-    return std::nullopt;
-  };
-}
-
-inline prop::Property<prop::MapSpec> gain_bit_identity_property(Fault fault = Fault::None) {
-  return [fault](const prop::MapSpec& spec) -> std::optional<std::string> {
-    const auto map = prop::build_fiber_map(spec);
-    if (map.conduits().size() == 0) return std::nullopt;
-    const auto matrix = risk::RiskMatrix::from_map(map);
-    const optimize::RobustnessPlanner planner(map, matrix);
-    const auto serial = planner.network_wide_gain(3);
-    sim::Executor pool(4);
-    auto parallel = planner.network_wide_gain(3, pool);
-    if (fault == Fault::TamperParallelGain) parallel.avg_srr_rest += 0.125;
-    std::ostringstream diff;
-    if (serial.conduits_evaluated != parallel.conduits_evaluated ||
-        serial.already_optimal != parallel.already_optimal ||
-        serial.unreachable != parallel.unreachable ||
-        serial.avg_srr_top != parallel.avg_srr_top ||
-        serial.avg_srr_rest != parallel.avg_srr_rest) {
-      diff << "network_wide_gain serial/parallel mismatch: evaluated "
-           << serial.conduits_evaluated << "/" << parallel.conduits_evaluated
-           << ", optimal " << serial.already_optimal << "/" << parallel.already_optimal
-           << ", unreachable " << serial.unreachable << "/" << parallel.unreachable
-           << ", srr_top " << serial.avg_srr_top << "/" << parallel.avg_srr_top
-           << ", srr_rest " << serial.avg_srr_rest << "/" << parallel.avg_srr_rest;
-      return diff.str();
     }
     return std::nullopt;
   };

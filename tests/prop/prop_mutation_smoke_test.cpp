@@ -94,14 +94,6 @@ TEST(PropMutationSmoke, DetectsTamperedSerialCampaign) {
   });
 }
 
-TEST(PropMutationSmoke, DetectsTamperedParallelGain) {
-  expect_fault_detected([](const prop::Config& config) {
-    return prop::check<prop::MapSpec>("smoke_tamper_parallel_gain", prop::fiber_maps(),
-                                      oracles::gain_bit_identity_property(Fault::TamperParallelGain),
-                                      config);
-  });
-}
-
 TEST(PropMutationSmoke, DetectsMiscountedSeveredLinks) {
   const serve::Snapshot& base = oracles::shared_base_snapshot();
   expect_fault_detected([&base](const prop::Config& config) {

@@ -1,11 +1,11 @@
 // Parallel-vs-serial bit identity on generated worlds: the sim::Executor
-// fan-out of campaigns and of the network-wide robustness scan must be
-// byte-identical to their serial runs for any thread count — not just on
-// the canonical scenario the unit tests pin, but across the whole space
-// of valid maps the generators can produce.  The planner's reroutes that
-// feed the scan are checked against masked point queries alongside, and
-// every step of a campaign trial and a failure curve against the forward
-// DFS the reverse connectivity pass replaced (oracle O11).
+// fan-out of campaigns must be byte-identical to its serial run for any
+// thread count — not just on the canonical scenario the unit tests pin,
+// but across the whole space of valid maps the generators can produce.
+// The robustness planner's reroutes are checked against masked point
+// queries alongside, and every step of a campaign trial and a failure
+// curve against the forward DFS the reverse connectivity pass replaced
+// (oracle O11).
 #include <gtest/gtest.h>
 
 #include "oracles.hpp"
@@ -26,11 +26,6 @@ TEST(PropSim, ReversePassMatchesForwardDfs) {
   EXPECT_PROP(prop::check<oracles::FailureSequenceCase>("reverse_pass_vs_forward_dfs",
                                                         oracles::failure_sequence_cases(),
                                                         oracles::reverse_pass_property()));
-}
-
-TEST(PropSim, NetworkWideGainBitIdenticalAcrossExecutors) {
-  EXPECT_PROP(prop::check<prop::MapSpec>("network_gain_parallel_vs_serial", prop::fiber_maps(),
-                                         oracles::gain_bit_identity_property()));
 }
 
 TEST(PropSim, PlannerReroutesMatchMaskedPointQueries) {

@@ -10,7 +10,6 @@
 #include "optimize/latency.hpp"
 #include "optimize/robustness.hpp"
 #include "risk/risk_matrix.hpp"
-#include "sim/executor.hpp"
 #include "test_support.hpp"
 #include "transport/network.hpp"
 #include "transport/row.hpp"
@@ -139,49 +138,7 @@ TEST(PathEngine, WorkspaceReuseIsStateless) {
   }
 }
 
-// ---- determinism at scenario scale ----
-
-TEST(RouteParallel, SummariesBitIdenticalAcrossThreadCounts) {
-  const auto& map = testing::shared_scenario().map();
-  const auto matrix = risk::RiskMatrix::from_map(map);
-  const auto targets = matrix.most_shared_conduits(12);
-  const optimize::RobustnessPlanner planner(map, matrix);
-
-  const auto serial = planner.summarize_robustness(targets);
-  sim::Executor one(1);
-  sim::Executor four(4);
-  const auto par1 = planner.summarize_robustness(targets, one);
-  const auto par4 = planner.summarize_robustness(targets, four);
-  ASSERT_EQ(serial.size(), par1.size());
-  ASSERT_EQ(serial.size(), par4.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    for (const auto* other : {&par1[i], &par4[i]}) {
-      EXPECT_EQ(serial[i].isp, other->isp);
-      EXPECT_EQ(serial[i].targets_using, other->targets_using);
-      // Bit-identical, not approximately equal.
-      EXPECT_EQ(serial[i].pi_min, other->pi_min);
-      EXPECT_EQ(serial[i].pi_max, other->pi_max);
-      EXPECT_EQ(serial[i].pi_avg, other->pi_avg);
-      EXPECT_EQ(serial[i].srr_min, other->srr_min);
-      EXPECT_EQ(serial[i].srr_max, other->srr_max);
-      EXPECT_EQ(serial[i].srr_avg, other->srr_avg);
-    }
-  }
-}
-
-TEST(RouteParallel, NetworkWideGainBitIdenticalAcrossThreadCounts) {
-  const auto& map = testing::shared_scenario().map();
-  const auto matrix = risk::RiskMatrix::from_map(map);
-  const optimize::RobustnessPlanner planner(map, matrix);
-  const auto serial = planner.network_wide_gain(12);
-  sim::Executor four(4);
-  const auto parallel = planner.network_wide_gain(12, four);
-  EXPECT_EQ(serial.conduits_evaluated, parallel.conduits_evaluated);
-  EXPECT_EQ(serial.already_optimal, parallel.already_optimal);
-  EXPECT_EQ(serial.unreachable, parallel.unreachable);
-  EXPECT_EQ(serial.avg_srr_top, parallel.avg_srr_top);
-  EXPECT_EQ(serial.avg_srr_rest, parallel.avg_srr_rest);
-}
+// ---- scenario scale ----
 
 TEST(RouteParallel, RowRegistryPathsUnchangedByEngineRewiring) {
   // The ROW registry now routes through the shared engine; spot-check the

@@ -241,6 +241,47 @@ TEST(Overlay, NamingHintsPropagateToObservedIsps) {
   EXPECT_TRUE(attributed);
 }
 
+TEST(Overlay, EqualLengthHopPathsGoToTheLowestConduitId) {
+  // One hop pair A -> D with two 96 km paths, A-B-D and A-C-D (dyadic
+  // lengths, so the sums tie exactly).  B settles before C (lower city
+  // id), so D is first relaxed through B-D; but C-D has the lower conduit
+  // id, and the overlay keeps the equal-cost predecessor with the lowest
+  // id, as route::PathEngine does.
+  constexpr transport::CityId kA = 0, kB = 1, kC = 2, kD = 3;
+  core::FiberMap map(1);
+  const auto cd = map.ensure_conduit(prop::make_corridor(0, kC, kD, 32.0),
+                                     core::Provenance::GeocodedMap);
+  const auto ab = map.ensure_conduit(prop::make_corridor(1, kA, kB, 64.0),
+                                     core::Provenance::GeocodedMap);
+  const auto ac = map.ensure_conduit(prop::make_corridor(2, kA, kC, 64.0),
+                                     core::Provenance::GeocodedMap);
+  const auto bd = map.ensure_conduit(prop::make_corridor(3, kB, kD, 32.0),
+                                     core::Provenance::GeocodedMap);
+  ASSERT_LT(cd, bd);
+
+  Campaign synthetic;
+  TraceFlow flow;
+  flow.src = kA;
+  flow.dst = kD;
+  flow.count = 5;
+  flow.hops = {ObservedHop{kA, "", isp::kNoIsp}, ObservedHop{kD, "", isp::kNoIsp}};
+  flow.true_corridors = {map.conduit(ac).corridor, map.conduit(cd).corridor};
+  synthetic.flows.push_back(flow);
+
+  const auto result = overlay_campaign(map, core::Scenario::cities(), synthetic);
+  EXPECT_EQ(result.mapped_segments, 5u);
+  EXPECT_EQ(result.usage[ac].total(), 5u);
+  EXPECT_EQ(result.usage[cd].total(), 5u);
+  EXPECT_EQ(result.usage[ab].total(), 0u);
+  EXPECT_EQ(result.usage[bd].total(), 0u);
+
+  const auto accuracy = evaluate_overlay_accuracy(map, synthetic);
+  EXPECT_EQ(accuracy.probes_evaluated, 5u);
+  EXPECT_EQ(accuracy.corridor_precision, 1.0);
+  EXPECT_EQ(accuracy.corridor_recall, 1.0);
+  EXPECT_EQ(accuracy.flows_fully_correct, 1.0);
+}
+
 TEST(Overlay, DeterministicGivenSameInputs) {
   const auto again =
       overlay_campaign(testing::shared_scenario().map(), core::Scenario::cities(), campaign());
