@@ -6,7 +6,6 @@
 
 #include "util/check.hpp"
 #include "util/strings.hpp"
-#include "util/table.hpp"
 
 namespace intertubes::isp {
 
@@ -223,18 +222,6 @@ std::vector<PublishedMap> parse_published_maps(const std::string& text,
     map.nodes.assign(nodes.begin(), nodes.end());
   }
   return maps;
-}
-
-void save_published_maps(const std::string& path, const std::vector<PublishedMap>& maps,
-                         const transport::CityDatabase& cities) {
-  write_file(path, serialize_published_maps(maps, cities));
-}
-
-std::vector<PublishedMap> load_published_maps(const std::string& path,
-                                              const transport::CityDatabase& cities,
-                                              const std::vector<IspProfile>& profiles,
-                                              DiagnosticSink& sink) {
-  return parse_published_maps(read_file(path), cities, profiles, sink, path);
 }
 
 }  // namespace intertubes::isp

@@ -71,13 +71,4 @@ std::vector<PublishedMap> parse_published_maps(const std::string& text,
                                                DiagnosticSink& sink,
                                                const std::string& source = "<published-maps>");
 
-/// File wrappers.  Open failures throw std::runtime_error with the OS
-/// errno context.
-void save_published_maps(const std::string& path, const std::vector<PublishedMap>& maps,
-                         const transport::CityDatabase& cities);
-std::vector<PublishedMap> load_published_maps(const std::string& path,
-                                              const transport::CityDatabase& cities,
-                                              const std::vector<IspProfile>& profiles,
-                                              DiagnosticSink& sink);
-
 }  // namespace intertubes::isp

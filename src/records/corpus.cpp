@@ -5,7 +5,6 @@
 
 #include "util/check.hpp"
 #include "util/strings.hpp"
-#include "util/table.hpp"
 
 namespace intertubes::records {
 
@@ -314,14 +313,6 @@ Corpus parse_corpus(const std::string& text, DiagnosticSink& sink, const std::st
     corpus.truth_corridor.push_back(corridor);
   }
   return corpus;
-}
-
-void save_corpus(const std::string& path, const Corpus& corpus) {
-  write_file(path, serialize_corpus(corpus));
-}
-
-Corpus load_corpus(const std::string& path, DiagnosticSink& sink) {
-  return parse_corpus(read_file(path), sink, path);
 }
 
 }  // namespace intertubes::records

@@ -73,9 +73,4 @@ std::string serialize_corpus(const Corpus& corpus);
 Corpus parse_corpus(const std::string& text, DiagnosticSink& sink,
                     const std::string& source = "<corpus>");
 
-/// File wrappers.  Open failures throw std::runtime_error with the OS
-/// errno context.
-void save_corpus(const std::string& path, const Corpus& corpus);
-Corpus load_corpus(const std::string& path, DiagnosticSink& sink);
-
 }  // namespace intertubes::records

@@ -5,7 +5,6 @@
 
 #include "util/check.hpp"
 #include "util/strings.hpp"
-#include "util/table.hpp"
 
 namespace intertubes::traceroute {
 
@@ -294,16 +293,6 @@ Campaign parse_campaign(const std::string& text, const transport::CityDatabase& 
     campaign.unroutable_probes = 0;
   }
   return campaign;
-}
-
-void save_campaign(const std::string& path, const Campaign& campaign,
-                   const transport::CityDatabase& cities) {
-  write_file(path, serialize_campaign(campaign, cities));
-}
-
-Campaign load_campaign(const std::string& path, const transport::CityDatabase& cities,
-                       DiagnosticSink& sink) {
-  return parse_campaign(read_file(path), cities, sink, path);
 }
 
 }  // namespace intertubes::traceroute

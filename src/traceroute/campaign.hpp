@@ -82,11 +82,4 @@ std::string serialize_campaign(const Campaign& campaign, const transport::CityDa
 Campaign parse_campaign(const std::string& text, const transport::CityDatabase& cities,
                         DiagnosticSink& sink, const std::string& source = "<campaign>");
 
-/// File wrappers.  Open failures throw std::runtime_error with the OS
-/// errno context.
-void save_campaign(const std::string& path, const Campaign& campaign,
-                   const transport::CityDatabase& cities);
-Campaign load_campaign(const std::string& path, const transport::CityDatabase& cities,
-                       DiagnosticSink& sink);
-
 }  // namespace intertubes::traceroute

@@ -2,13 +2,8 @@
 // the instrumentation that *proves* those paths allocation-free.
 //
 // The serving fast path (DESIGN.md §14) promises zero heap allocations per
-// steady-state query.  Three pieces make that promise cheap to keep and
+// steady-state query.  Two pieces make that promise cheap to keep and
 // impossible to break silently:
-//
-//   * BumpArena / FixedPool<T> — the classic fixed-pool idiom (swap STL
-//     node containers for flat preallocated storage): a monotonic bump
-//     allocator with O(1) reset for per-query scratch, and a free-list
-//     pool of T slots for objects with identity.
 //
 //   * LeasePool<T> — a thread-safe, *capped* pool of reusable scratch
 //     objects handed out as RAII leases.  Unlike a grow-only pool, a
@@ -30,8 +25,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <new>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -81,95 +74,6 @@ class ZeroAllocGuard {
 
  private:
   AllocCounts start_;
-};
-
-// --- BumpArena --------------------------------------------------------
-
-/// Monotonic bump allocator over one fixed buffer.  allocate() is a
-/// pointer bump; reset() recycles the whole arena in O(1).  Exhaustion
-/// returns nullptr (typed helpers IT_CHECK instead) — the arena never
-/// falls back to the heap, which is the point.
-class BumpArena {
- public:
-  explicit BumpArena(std::size_t capacity)
-      : buffer_(std::make_unique<std::byte[]>(capacity)), capacity_(capacity) {}
-
-  BumpArena(const BumpArena&) = delete;
-  BumpArena& operator=(const BumpArena&) = delete;
-
-  /// Aligned raw storage, or nullptr when the arena is exhausted.
-  void* allocate(std::size_t bytes, std::size_t align = alignof(std::max_align_t)) noexcept {
-    const std::size_t aligned = (used_ + align - 1) & ~(align - 1);
-    if (aligned + bytes > capacity_) return nullptr;
-    used_ = aligned + bytes;
-    high_water_ = used_ > high_water_ ? used_ : high_water_;
-    return buffer_.get() + aligned;
-  }
-
-  /// `count` default-initialized Ts; IT_CHECKs on exhaustion (a fixed
-  /// arena sized too small is a bug, not a runtime condition).
-  template <typename T>
-  T* allocate_array(std::size_t count) {
-    static_assert(std::is_trivially_destructible_v<T>,
-                  "BumpArena::reset never runs destructors");
-    void* raw = allocate(count * sizeof(T), alignof(T));
-    IT_CHECK(raw != nullptr);
-    return new (raw) T[count];
-  }
-
-  /// Recycle everything.  O(1); no destructors run (see allocate_array).
-  void reset() noexcept { used_ = 0; }
-
-  std::size_t capacity() const noexcept { return capacity_; }
-  std::size_t used() const noexcept { return used_; }
-  /// Peak bytes ever live at once — how big the arena actually needs to be.
-  std::size_t high_water() const noexcept { return high_water_; }
-
- private:
-  std::unique_ptr<std::byte[]> buffer_;
-  std::size_t capacity_ = 0;
-  std::size_t used_ = 0;
-  std::size_t high_water_ = 0;
-};
-
-// --- FixedPool --------------------------------------------------------
-
-/// Free-list pool over `capacity` preconstructed T slots.  acquire()
-/// pops a slot (nullptr when exhausted), release() pushes it back; no
-/// heap traffic after construction.  Single-threaded by design — wrap in
-/// LeasePool (below) when slots cross threads.
-template <typename T>
-class FixedPool {
- public:
-  explicit FixedPool(std::size_t capacity) : slots_(capacity), free_(capacity) {
-    for (std::size_t i = 0; i < capacity; ++i) free_[i] = capacity - 1 - i;
-  }
-
-  FixedPool(const FixedPool&) = delete;
-  FixedPool& operator=(const FixedPool&) = delete;
-
-  /// A slot, or nullptr when all `capacity()` slots are in use.  Slots
-  /// are reused as-is (not reconstructed) — callers reset what they use.
-  T* acquire() noexcept {
-    if (free_.empty()) return nullptr;
-    T* slot = &slots_[free_.back()];
-    free_.pop_back();
-    return slot;
-  }
-
-  /// Return a slot obtained from acquire().
-  void release(T* slot) noexcept {
-    IT_CHECK(slot >= slots_.data() && slot < slots_.data() + slots_.size());
-    free_.push_back(static_cast<std::size_t>(slot - slots_.data()));
-  }
-
-  std::size_t capacity() const noexcept { return slots_.size(); }
-  std::size_t available() const noexcept { return free_.size(); }
-  std::size_t in_use() const noexcept { return slots_.size() - free_.size(); }
-
- private:
-  std::vector<T> slots_;
-  std::vector<std::size_t> free_;  ///< indices of free slots, LIFO
 };
 
 // --- LeasePool --------------------------------------------------------

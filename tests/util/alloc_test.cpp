@@ -50,65 +50,6 @@ TEST(AllocCounting, CountersAreThreadLocal) {
   EXPECT_LT(guard.bytes(), 4096 * sizeof(std::uint64_t));
 }
 
-TEST(BumpArena, BumpsResetsAndTracksHighWater) {
-  BumpArena arena(1024);
-  void* a = arena.allocate(100);
-  void* b = arena.allocate(100);
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_NE(a, b);
-  EXPECT_GE(arena.used(), 200u);
-  const std::size_t peak = arena.used();
-  arena.reset();
-  EXPECT_EQ(arena.used(), 0u);
-  EXPECT_EQ(arena.high_water(), peak);
-  // After reset the same storage is handed out again.
-  EXPECT_EQ(arena.allocate(100), a);
-}
-
-TEST(BumpArena, ExhaustionReturnsNullNeverHeap) {
-  BumpArena arena(128);
-  EXPECT_NE(arena.allocate(100), nullptr);
-  EXPECT_EQ(arena.allocate(100), nullptr);  // would overflow: refused
-  EXPECT_LE(arena.used(), arena.capacity());
-}
-
-TEST(BumpArena, TypedArraysAreAligned) {
-  BumpArena arena(1024);
-  (void)arena.allocate(1);  // misalign the cursor
-  double* row = arena.allocate_array<double>(8);
-  ASSERT_NE(row, nullptr);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(row) % alignof(double), 0u);
-  for (int i = 0; i < 8; ++i) row[i] = i;
-  EXPECT_EQ(row[7], 7.0);
-}
-
-TEST(FixedPool, AcquireReleaseCyclesThroughSlots) {
-  FixedPool<std::vector<int>> pool(2);
-  EXPECT_EQ(pool.capacity(), 2u);
-  auto* first = pool.acquire();
-  auto* second = pool.acquire();
-  ASSERT_NE(first, nullptr);
-  ASSERT_NE(second, nullptr);
-  EXPECT_NE(first, second);
-  EXPECT_EQ(pool.acquire(), nullptr);  // exhausted, no heap fallback
-  EXPECT_EQ(pool.in_use(), 2u);
-  pool.release(second);
-  EXPECT_EQ(pool.acquire(), second);  // LIFO reuse
-}
-
-TEST(FixedPool, SlotsRetainStateAcrossReuse) {
-  FixedPool<std::vector<int>> pool(1);
-  auto* slot = pool.acquire();
-  slot->assign(16, 7);
-  pool.release(slot);
-  auto* again = pool.acquire();
-  ASSERT_EQ(again, slot);
-  // Reused as-is: the capacity (and here the contents) survive, which is
-  // exactly why pooled scratch queries are allocation-free.
-  EXPECT_EQ(again->size(), 16u);
-}
-
 TEST(LeasePool, LeasesReturnToThePool) {
   LeasePool<std::vector<int>> pool(4);
   {
