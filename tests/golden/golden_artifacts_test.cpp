@@ -2,8 +2,9 @@
 // renderings of the canonical scenario, its serialized dataset, a small
 // traceroute campaign over it, the overlay of the shared campaign, the
 // Figure 11 expansion sweep, a set of cascade outcomes, the failure
-// analyses' connectivity outputs and the risk/ cut and hazard analyses,
-// pinned byte-for-byte against checked-in fixtures.  The renderers in
+// analyses' connectivity outputs, the risk/ cut and hazard analyses and
+// the all-pairs latency dissection, pinned byte-for-byte against
+// checked-in fixtures.  The renderers in
 // src/artifact are the same code the bench harnesses print, so any
 // accounting change to the headline numbers must be made explicitly:
 // regenerate with
@@ -13,6 +14,7 @@
 // and commit the fixture diff.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <charconv>
 #include <cstdlib>
 #include <fstream>
@@ -22,6 +24,7 @@
 #include "artifact/renderers.hpp"
 #include "cascade/cascade.hpp"
 #include "core/dataset_io.hpp"
+#include "dissect/dissector.hpp"
 #include "optimize/expansion.hpp"
 #include "risk/cuts.hpp"
 #include "risk/geo_hazard.hpp"
@@ -418,6 +421,50 @@ TEST(GoldenArtifacts, RiskAnalyses) {
   }
   out << "\n";
   check_golden("risk_analyses.golden", out.str());
+}
+
+std::string render_pair(const dissect::PairDissection& p) {
+  return std::to_string(p.a) + "-" + std::to_string(p.b) + ": clat " + exact(p.clat_ms) +
+         ", los " + exact(p.los_ms) + ", row " + exact(p.row_ms) + ", fiber " +
+         exact(p.fiber_ms) + ", refraction " + exact(p.refraction_ms) + ", row_inflation " +
+         exact(p.row_inflation_ms) + ", detour " + exact(p.detour_ms) + ", stretch " +
+         exact(p.stretch) + ", achievable " + exact(p.achievable_ms) + ", reach " +
+         (p.fiber_reachable ? "fiber" : "-") + "/" + (p.row_reachable ? "row" : "-");
+}
+
+TEST(GoldenArtifacts, Dissection) {
+  // The §5.3 all-pairs speed-of-light study on the canonical world: the
+  // counters and aggregates at full precision, the 20 pairs with the most
+  // achievable delay, and every 500th pair in (i, j) order.
+  const auto& scenario = shared_scenario();
+  const dissect::LatencyDissector dissector(scenario.map(), core::Scenario::cities(),
+                                            scenario.row());
+  const auto study = dissector.dissect();
+  std::ostringstream out;
+  out << "nodes " << study.nodes.size() << ", pairs " << study.pairs.size()
+      << ", fiber_unreachable " << study.fiber_unreachable << ", row_unreachable "
+      << study.row_unreachable << ", within_target " << study.within_target << " at "
+      << exact(study.target_factor) << "\n";
+  out << "median_stretch " << exact(study.median_stretch) << ", p95_stretch "
+      << exact(study.p95_stretch) << ", total_achievable_ms " << exact(study.total_achievable_ms)
+      << "\n";
+  std::vector<std::size_t> order(study.pairs.size());
+  for (std::size_t k = 0; k < order.size(); ++k) order[k] = k;
+  const std::size_t top = std::min<std::size_t>(20, order.size());
+  std::partial_sort(order.begin(), order.begin() + top, order.end(),
+                    [&](std::size_t x, std::size_t y) {
+                      const double ax = study.pairs[x].achievable_ms;
+                      const double ay = study.pairs[y].achievable_ms;
+                      return ax != ay ? ax > ay : x < y;
+                    });
+  for (std::size_t k = 0; k < top; ++k) {
+    out << "top " << k << " pair " << order[k] << " " << render_pair(study.pairs[order[k]])
+        << "\n";
+  }
+  for (std::size_t k = 0; k < study.pairs.size(); k += 500) {
+    out << "pair " << k << " " << render_pair(study.pairs[k]) << "\n";
+  }
+  check_golden("dissection.golden", out.str());
 }
 
 TEST(GoldenArtifacts, RenderersAreDeterministic) {
