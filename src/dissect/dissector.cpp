@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "geo/latency.hpp"
+#include "sim/executor.hpp"
 #include "util/check.hpp"
 
 namespace intertubes::dissect {
@@ -24,14 +25,18 @@ std::shared_ptr<const route::PathEngine> compile_fiber_engine(const core::FiberM
                                                    std::move(edges));
 }
 
-/// Percentile of an ascending-sorted vector (nearest-rank).
-double percentile(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  const std::size_t rank =
-      std::min(sorted.size() - 1,
-               static_cast<std::size_t>(p * static_cast<double>(sorted.size() - 1) + 0.5));
-  return sorted[rank];
+/// The nearest-rank index of percentile p among `size` (> 0) samples.
+std::size_t percentile_rank(std::size_t size, double p) {
+  return std::min(size - 1, static_cast<std::size_t>(p * static_cast<double>(size - 1) + 0.5));
 }
+
+/// Per-source-row pair counts.  Integer sums are exact, so folding the
+/// rows in any order gives the same totals.
+struct RowCounts {
+  std::size_t fiber_unreachable = 0;
+  std::size_t row_unreachable = 0;
+  std::size_t within_target = 0;
+};
 
 }  // namespace
 
@@ -86,43 +91,78 @@ DissectionStudy LatencyDissector::dissect(sim::Executor* executor,
   study.target_factor = options.target_factor;
   const std::size_t n = nodes_.size();
   if (n < 2) return study;
+  const route::PathEngine& row_engine = row_.path_engine();
+  IT_CHECK(nodes_.back() < row_engine.num_nodes());
 
-  // The batched layer: one Dijkstra row per source over each graph instead
-  // of n(n-1)/2 point-to-point queries.  Both matrices are bit-identical
-  // for any thread count (see PathEngine's determinism contract), so the
-  // decomposition below — a pure per-cell function — is too.
-  std::vector<route::NodeId> sources(nodes_.begin(), nodes_.end());
-  const route::DistanceMatrix fiber_rows = fiber_->distance_rows(sources, {}, executor);
-  const route::DistanceMatrix row_rows = row_.path_engine().distance_rows(sources, {}, executor);
-
-  study.pairs.reserve(n * (n - 1) / 2);
-  std::vector<double> stretches;
-  stretches.reserve(study.pairs.capacity());
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      PairDissection d =
-          decompose(nodes_[i], nodes_[j], fiber_rows.at(i, nodes_[j]), row_rows.at(i, nodes_[j]));
-      if (!d.fiber_reachable) {
-        ++study.fiber_unreachable;
-      } else {
-        stretches.push_back(d.stretch);
-        if (d.fiber_ms <= options.target_factor * d.clat_ms) ++study.within_target;
-        if (d.row_reachable) study.total_achievable_ms += d.achievable_ms;
+  // One pass per source: its two distance rows, then its pairs (i, j > i)
+  // decomposed into their row-major slots and counted.  Each row comes
+  // from distances_into, the primitive behind distance_rows and
+  // dissect_pair, and each cell is a pure function of the two rows, so
+  // the pairs and counts are bit-identical for any thread count.  The
+  // last node owns no pair.
+  study.pairs.resize(n * (n - 1) / 2);
+  std::vector<RowCounts> counts(n - 1);
+  const auto sweep = [&](std::size_t begin, std::size_t end) {
+    const auto fiber_ws = fiber_->lease_workspace();
+    const auto row_ws = row_engine.lease_workspace();
+    std::vector<double> fiber_km(fiber_->num_nodes());
+    std::vector<double> row_km(row_engine.num_nodes());
+    for (std::size_t i = begin; i < end; ++i) {
+      const auto source = static_cast<route::NodeId>(nodes_[i]);
+      fiber_->distances_into(source, {}, *fiber_ws, fiber_km.data());
+      row_engine.distances_into(source, {}, *row_ws, row_km.data());
+      PairDissection* out = study.pairs.data() + i * (2 * n - i - 1) / 2;
+      RowCounts& count = counts[i];
+      for (std::size_t j = i + 1; j < n; ++j, ++out) {
+        const transport::CityId b = nodes_[j];
+        *out = decompose(nodes_[i], b, fiber_km[b], row_km[b]);
+        if (!out->fiber_reachable) {
+          ++count.fiber_unreachable;
+        } else if (out->fiber_ms <= options.target_factor * out->clat_ms) {
+          ++count.within_target;
+        }
+        if (!out->row_reachable) ++count.row_unreachable;
       }
-      if (!d.row_reachable) ++study.row_unreachable;
-      study.pairs.push_back(std::move(d));
     }
+  };
+  if (executor == nullptr) {
+    sweep(0, n - 1);
+  } else {
+    executor->for_each_chunk(0, n - 1, /*chunk=*/0, sweep);
   }
-  std::sort(stretches.begin(), stretches.end());
-  study.median_stretch = percentile(stretches, 0.5);
-  study.p95_stretch = percentile(stretches, 0.95);
+
+  for (const RowCounts& count : counts) {
+    study.fiber_unreachable += count.fiber_unreachable;
+    study.row_unreachable += count.row_unreachable;
+    study.within_target += count.within_target;
+  }
+  // total_achievable_ms is a floating-point sum, so it folds serially in
+  // (i, j) order: per-row partial sums would move its bits.
+  std::vector<double> stretches;
+  stretches.reserve(study.pairs.size() - study.fiber_unreachable);
+  for (const PairDissection& d : study.pairs) {
+    if (!d.fiber_reachable) continue;
+    stretches.push_back(d.stretch);
+    if (d.row_reachable) study.total_achievable_ms += d.achievable_ms;
+  }
+  // nth_element puts at each rank the element a full sort would (+inf
+  // stretches of coincident cities included), without sorting the rest.
+  if (!stretches.empty()) {
+    const auto median = stretches.begin() + percentile_rank(stretches.size(), 0.5);
+    const auto p95 = stretches.begin() + percentile_rank(stretches.size(), 0.95);
+    std::nth_element(stretches.begin(), median, stretches.end());
+    study.median_stretch = *median;
+    // [median, end) now holds exactly the ranks from the median up.
+    std::nth_element(median, p95, stretches.end());
+    study.p95_stretch = *p95;
+  }
   return study;
 }
 
 PairDissection LatencyDissector::dissect_pair(transport::CityId a, transport::CityId b) const {
   IT_CHECK(a < fiber_->num_nodes() && b < fiber_->num_nodes());
-  // distances_from is the same row primitive the sweep batches, so the
-  // result is bitwise equal to the corresponding sweep entry.
+  // distances_from wraps distances_into, the row primitive the sweep
+  // runs, so the result is bitwise equal to the corresponding sweep entry.
   const double fiber_km = fiber_->distances_from(static_cast<route::NodeId>(a))[b];
   const double row_km =
       row_.path_engine().distances_from(static_cast<route::NodeId>(a))[b];

@@ -22,11 +22,13 @@
 // physics or new corridors.  The audit ranks pairs by it; the gap-closing
 // optimizer (gap_optimizer.hpp) proposes the conduits.
 //
-// The sweep runs on route::PathEngine::distance_rows — one Dijkstra per
-// source city over the conduit graph and one over the ROW corridor graph,
-// optionally fanned out on a sim::Executor — instead of one point-to-point
-// Dijkstra per pair.  Rows are pure functions of (graph, source), so the
-// study is bit-identical for any thread count.
+// The sweep runs one pass per source city, optionally fanned out on a
+// sim::Executor: one Dijkstra row over the conduit graph and one over the
+// ROW corridor graph (route::PathEngine::distances_into), then that
+// source's pairs decomposed and counted straight from the two rows —
+// n passes instead of one point-to-point Dijkstra per pair, and no
+// all-pairs distance matrix.  Rows are pure functions of (graph, source),
+// so the study is bit-identical for any thread count.
 #pragma once
 
 #include <memory>
@@ -110,10 +112,12 @@ class LatencyDissector {
 
   const std::vector<transport::CityId>& nodes() const noexcept { return nodes_; }
 
-  /// The batched all-pairs sweep: one distance row per node over each of
-  /// the conduit and ROW engines (parallel over sources when `executor`
-  /// is non-null), then the pure per-pair decomposition.  Bit-identical
-  /// for any thread count.
+  /// The batched all-pairs sweep: one pass per source (parallel over
+  /// sources when `executor` is non-null) computes its distance rows over
+  /// the conduit and ROW engines and decomposes and counts its pairs.
+  /// Only the total_achievable_ms fold and the two percentile picks run
+  /// after the pass, on the calling thread.  Bit-identical for any thread
+  /// count; with a null executor nothing runs off the calling thread.
   DissectionStudy dissect(sim::Executor* executor = nullptr,
                           const DissectOptions& options = {}) const;
 
