@@ -223,7 +223,7 @@ CampaignReport CampaignEngine::run(const CampaignConfig& config, Executor& execu
       config.trials,
       [&](std::size_t trial) { return run_trial(stressor, config.seed, trial); });
 
-  CampaignReport report = aggregate_trials(trials, map_.num_isps());
+  CampaignReport report = aggregate_trials(trials, map_.num_isps(), executor);
   report.stressor = stressor_name(stressor);
   report.seed = config.seed;
   report.trials = config.trials;

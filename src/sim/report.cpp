@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 
+#include "sim/executor.hpp"
 #include "util/check.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -57,29 +59,35 @@ MetricCurve aggregate_series(const std::vector<std::vector<double>>& series, std
 
 namespace {
 
-/// Aggregate one metric: extract(trial, step) sampled across trials in
-/// trial order, reduced to a CurvePoint per step.  Campaign metrics are
-/// always finite, so the Exclude policy is a no-op here — this is the
-/// same code path the +inf-carrying cascade curves harden.
-template <typename Extract>
-MetricCurve aggregate_metric(const std::vector<TrialResult>& trials, std::size_t steps,
-                             std::string name, const Extract& extract) {
-  MetricCurve curve;
-  curve.name = std::move(name);
-  curve.points.resize(steps);
-  std::vector<double> values(trials.size());
-  for (std::size_t step = 0; step < steps; ++step) {
-    for (std::size_t t = 0; t < trials.size(); ++t) {
-      values[t] = extract(trials[t].points[step]);
-    }
-    curve.points[step] = aggregate_samples(values, InfPolicy::Exclude);
-  }
-  return curve;
-}
+/// One report curve and the per-trial sample it reads.
+struct MetricColumns {
+  MetricCurve CampaignReport::*curve;
+  const char* name;
+  double (*extract)(const TrialPoint&);
+};
+
+// Campaign metrics are always finite, so aggregate_samples' Exclude
+// policy is a no-op here — the same code path the +inf-carrying cascade
+// curves harden.
+constexpr MetricColumns kMetrics[] = {
+    {&CampaignReport::conduits_down, "conduits down",
+     [](const TrialPoint& p) { return static_cast<double>(p.conduits_down); }},
+    {&CampaignReport::connectivity, "connectivity",
+     [](const TrialPoint& p) { return p.connected_pair_fraction; }},
+    {&CampaignReport::components, "components",
+     [](const TrialPoint& p) { return static_cast<double>(p.components); }},
+    {&CampaignReport::links_hit, "links hit",
+     [](const TrialPoint& p) { return static_cast<double>(p.links_hit); }},
+    {&CampaignReport::isps_hit, "ISPs hit",
+     [](const TrialPoint& p) { return static_cast<double>(p.isps_hit); }},
+    {&CampaignReport::weight_lost, "risk weight lost",
+     [](const TrialPoint& p) { return p.weight_lost; }},
+};
 
 }  // namespace
 
-CampaignReport aggregate_trials(const std::vector<TrialResult>& trials, std::size_t num_isps) {
+CampaignReport aggregate_trials(const std::vector<TrialResult>& trials, std::size_t num_isps,
+                                Executor& executor) {
   IT_CHECK(!trials.empty());
   const std::size_t steps = trials.front().points.size();
   for (const auto& trial : trials) {
@@ -88,23 +96,22 @@ CampaignReport aggregate_trials(const std::vector<TrialResult>& trials, std::siz
   }
 
   CampaignReport report;
-  report.conduits_down = aggregate_metric(trials, steps, "conduits down", [](const TrialPoint& p) {
-    return static_cast<double>(p.conduits_down);
-  });
-  report.connectivity = aggregate_metric(trials, steps, "connectivity", [](const TrialPoint& p) {
-    return p.connected_pair_fraction;
-  });
-  report.components = aggregate_metric(trials, steps, "components", [](const TrialPoint& p) {
-    return static_cast<double>(p.components);
-  });
-  report.links_hit = aggregate_metric(trials, steps, "links hit", [](const TrialPoint& p) {
-    return static_cast<double>(p.links_hit);
-  });
-  report.isps_hit = aggregate_metric(trials, steps, "ISPs hit", [](const TrialPoint& p) {
-    return static_cast<double>(p.isps_hit);
-  });
-  report.weight_lost = aggregate_metric(trials, steps, "risk weight lost", [](const TrialPoint& p) {
-    return p.weight_lost;
+  for (const auto& metric : kMetrics) {
+    MetricCurve& curve = report.*metric.curve;
+    curve.name = metric.name;
+    curve.points.resize(steps);
+  }
+  // Each (metric, step) column folds its samples in trial order and
+  // writes only its own CurvePoint, so the columns run in parallel and
+  // the report is bit-identical for any thread count.
+  executor.parallel_for(0, std::size(kMetrics) * steps, [&](std::size_t column) {
+    const auto& metric = kMetrics[column / steps];
+    const std::size_t step = column % steps;
+    std::vector<double> values(trials.size());
+    for (std::size_t t = 0; t < trials.size(); ++t) {
+      values[t] = metric.extract(trials[t].points[step]);
+    }
+    (report.*metric.curve).points[step] = aggregate_samples(values, InfPolicy::Exclude);
   });
 
   std::vector<std::vector<std::uint32_t>> losses(trials.size());

@@ -15,6 +15,8 @@
 
 namespace intertubes::sim {
 
+class Executor;
+
 /// Metrics of one trial after `conduits_down` cumulative failures.
 struct TrialPoint {
   std::size_t conduits_down = 0;
@@ -115,9 +117,12 @@ struct CampaignReport {
 };
 
 /// Fold per-trial results (in trial order) into the aggregate report.
-/// Every trial must have the same number of points.  Stressor/seed/trials/
+/// Every trial must have the same number of points.  The (metric, step)
+/// columns fold in parallel on `executor`, each in trial order, so the
+/// report is bit-identical for any thread count.  Stressor/seed/trials/
 /// steps metadata is filled in by the campaign driver.
-CampaignReport aggregate_trials(const std::vector<TrialResult>& trials, std::size_t num_isps);
+CampaignReport aggregate_trials(const std::vector<TrialResult>& trials, std::size_t num_isps,
+                                Executor& executor);
 
 /// Fold per-trial per-ISP loss counts (losses[t][isp]) into the damage
 /// table: ISPs with any observed loss, descending by mean.  Shared by the
