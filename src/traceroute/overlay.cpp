@@ -138,25 +138,42 @@ OverlayAccuracy evaluate_overlay_accuracy(const FiberMap& map, const Campaign& c
   OverlayAccuracy accuracy;
   HopPaths paths(map);
 
+  const auto sort_unique = [](std::vector<transport::CorridorId>& ids) {
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  };
   double precision_sum = 0.0;
   double recall_sum = 0.0;
   double exact_sum = 0.0;
   std::uint64_t weight_total = 0;
+  // Corridor sets as sorted, deduplicated vectors, reused across flows.
+  std::vector<transport::CorridorId> predicted;
+  std::vector<transport::CorridorId> truth;
   for (const auto& flow : campaign.flows) {
     if (flow.true_corridors.empty()) continue;
     // Predicted corridor set: attribution of every observed hop segment.
-    std::set<transport::CorridorId> predicted;
+    predicted.clear();
     for (std::size_t h = 0; h + 1 < flow.hops.size(); ++h) {
       if (flow.hops[h].city == flow.hops[h + 1].city) continue;
       for (ConduitId cid : paths.between(flow.hops[h].city, flow.hops[h + 1].city)) {
-        predicted.insert(map.conduit(cid).corridor);
+        predicted.push_back(map.conduit(cid).corridor);
       }
     }
-    const std::set<transport::CorridorId> truth(flow.true_corridors.begin(),
-                                                flow.true_corridors.end());
+    sort_unique(predicted);
+    truth.assign(flow.true_corridors.begin(), flow.true_corridors.end());
+    sort_unique(truth);
+    // |predicted ∩ truth| in one merge walk.
     std::size_t correct = 0;
-    for (auto corridor : predicted) {
-      if (truth.count(corridor)) ++correct;
+    for (auto p = predicted.begin(), t = truth.begin(); p != predicted.end() && t != truth.end();) {
+      if (*p < *t) {
+        ++p;
+      } else if (*t < *p) {
+        ++t;
+      } else {
+        ++correct;
+        ++p;
+        ++t;
+      }
     }
     const double precision =
         predicted.empty() ? 0.0
