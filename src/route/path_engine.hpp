@@ -19,14 +19,16 @@
 //   * weight overrides — a per-edge cost functor (+inf forbids), the
 //     escape hatch for the ROW registry's custom WeightFn callers.
 //
-// Many-to-many workloads (the dissect/ all-pairs sweep) use
-// distance_rows(): one full Dijkstra per source written into a flat
-// row-major DistanceMatrix, optionally parallelized over sources on a
-// sim::Executor — n sources cost n scratch passes instead of n(n-1)/2
-// point-to-point queries.  A source that needs only a few targets (the
-// cascade rounds, the robustness and expansion planners, the traceroute
-// overlay) runs search_targets(): one Dijkstra that stops once every
-// target has settled, read back straight from the Workspace.
+// Many-to-many workloads run one full Dijkstra per source instead of
+// n(n-1)/2 point-to-point queries.  distances_into() writes one row into
+// caller storage (the dissect/ all-pairs sweep consumes each row as it
+// is made); distance_rows() batches rows into a flat row-major
+// DistanceMatrix, optionally parallelized over sources on a
+// sim::Executor (the dissect/ gap-closer reads whole rows).  A source
+// that needs only a few targets (the cascade rounds, the robustness and
+// expansion planners, the traceroute overlay) runs search_targets(): one
+// Dijkstra that stops once every target has settled, read back straight
+// from the Workspace.
 // shortest_path() is its one-target case.
 //
 // Determinism contract: results are a pure function of (graph, query).
