@@ -1,13 +1,24 @@
 // Ablation A2 — fiber-cut resilience (§4's security remark, §8's future
 // work): single points of failure, random-backhoe vs targeted-adversary
-// failure curves, and coast-to-coast minimum conduit cuts.
+// failure campaigns, and coast-to-coast minimum conduit cuts.
 #include "bench_support.hpp"
 #include "risk/cuts.hpp"
+#include "sim/campaign.hpp"
 #include "util/table.hpp"
 
 namespace {
 
 using namespace intertubes;
+
+/// One A2 campaign on `engine` at the bench seed.
+sim::CampaignReport run_campaign(const sim::CampaignEngine& engine, sim::Stressor stressor,
+                                 std::size_t trials) {
+  sim::CampaignConfig config;
+  config.stressor = stressor;
+  config.trials = trials;
+  config.seed = bench::kSeed;
+  return engine.run(config);
+}
 
 void print_artifact() {
   const auto& map = bench::scenario().map();
@@ -25,36 +36,33 @@ void print_artifact() {
               << " tenants)\n";
   }
 
+  // One campaign per stressor: 10 random-backhoe trials, and the
+  // deterministic most-shared-first adversary (one trial).
   const std::size_t max_failures = 40;
-  const auto random_curve =
-      risk::failure_curve(map, risk::FailureStrategy::Random, max_failures, 10, bench::kSeed);
-  const auto targeted_curve = risk::failure_curve(map, risk::FailureStrategy::MostSharedFirst,
-                                                  max_failures, 1, bench::kSeed);
+  const sim::CampaignEngine engine(map);
+  const auto random = run_campaign(engine, sim::Stressor::random_cuts(max_failures), 10);
+  const auto targeted = run_campaign(engine, sim::Stressor::targeted_cuts(max_failures), 1);
   TextTable table({"cuts", "connectivity (random)", "connectivity (targeted)",
                    "components (targeted)"});
   for (std::size_t f = 0; f <= max_failures; f += 5) {
     table.start_row();
     table.add_cell(f);
-    table.add_cell(random_curve[f].connected_pair_fraction, 3);
-    table.add_cell(targeted_curve[f].connected_pair_fraction, 3);
-    table.add_cell(targeted_curve[f].components, 1);
+    table.add_cell(random.connectivity.points[f].mean, 3);
+    table.add_cell(targeted.connectivity.points[f].mean, 3);
+    table.add_cell(targeted.components.points[f].mean, 1);
   }
   std::cout << "\n" << table.render("fraction of node pairs still connected vs conduit cuts");
   std::cout << "\nreading: dense metro corridors have parallel paths, so even targeted cuts "
                "barely partition the graph — which is why the paper's risk model counts "
                "services in the tube, not reachability.  The service impact:\n\n";
 
-  const auto random_impact =
-      risk::service_impact_curve(map, risk::FailureStrategy::Random, max_failures, 10, bench::kSeed);
-  const auto targeted_impact = risk::service_impact_curve(
-      map, risk::FailureStrategy::MostSharedFirst, max_failures, 1, bench::kSeed);
   TextTable impact({"cuts", "links hit (random)", "links hit (targeted)", "ISPs hit (targeted)"});
   for (std::size_t f = 0; f <= max_failures; f += 5) {
     impact.start_row();
     impact.add_cell(f);
-    impact.add_cell(random_impact[f].links_hit, 1);
-    impact.add_cell(targeted_impact[f].links_hit, 1);
-    impact.add_cell(targeted_impact[f].isps_hit, 1);
+    impact.add_cell(random.links_hit.points[f].mean, 1);
+    impact.add_cell(targeted.links_hit.points[f].mean, 1);
+    impact.add_cell(targeted.isps_hit.points[f].mean, 1);
   }
   std::cout << impact.render("ISP links traversing >= 1 cut conduit (the shared-risk harm)");
   std::cout << "\nexpected shape: targeting shared conduits hits far more provider links per "
@@ -92,9 +100,9 @@ BENCHMARK(BM_BridgeConduits)->Unit(benchmark::kMicrosecond);
 
 void BM_FailureCurveTargeted(benchmark::State& state) {
   for (auto _ : state) {
-    auto curve = risk::failure_curve(bench::scenario().map(),
-                                     risk::FailureStrategy::MostSharedFirst, 20, 1, bench::kSeed);
-    benchmark::DoNotOptimize(curve.size());
+    const sim::CampaignEngine engine(bench::scenario().map());
+    auto report = run_campaign(engine, sim::Stressor::targeted_cuts(20), 1);
+    benchmark::DoNotOptimize(report.connectivity.points.size());
   }
 }
 BENCHMARK(BM_FailureCurveTargeted)->Unit(benchmark::kMillisecond);

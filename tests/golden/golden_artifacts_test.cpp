@@ -257,10 +257,31 @@ std::string render_campaign(const sim::CampaignReport& report) {
   return out.str();
 }
 
+/// Ablation A2's two campaigns (bench_ablation_cuts) at seed 0x1257: 40
+/// random cuts over 10 trials, and the 40-cut most-shared-first
+/// adversary, whose one trial is deterministic.
+const std::vector<sim::CampaignReport>& a2_campaigns() {
+  static const std::vector<sim::CampaignReport> reports = [] {
+    const sim::CampaignEngine engine(shared_scenario().map());
+    std::vector<sim::CampaignReport> out;
+    for (const auto& [stressor, trials] :
+         {std::pair{sim::Stressor::random_cuts(40), std::size_t{10}},
+          std::pair{sim::Stressor::targeted_cuts(40), std::size_t{1}}}) {
+      sim::CampaignConfig config;
+      config.stressor = stressor;
+      config.trials = trials;
+      config.seed = 0x1257;
+      out.push_back(engine.run(config));
+    }
+    return out;
+  }();
+  return reports;
+}
+
 TEST(GoldenArtifacts, FailureCampaigns) {
   // Every failure analysis that measures connectivity under accumulating
   // cuts, on the canonical world: the three bench_sim_campaign campaigns,
-  // both failure_curve strategies, percolation under all three
+  // A2's random and targeted campaigns, percolation under all three
   // adversaries with the L3 topology, hazard discs and what-if cuts.
   const auto& scenario = shared_scenario();
   const auto& map = scenario.map();
@@ -283,12 +304,11 @@ TEST(GoldenArtifacts, FailureCampaigns) {
   config.trials = 64;
   out << render_campaign(campaigns.run(config));
 
-  for (const auto strategy : {risk::FailureStrategy::Random, risk::FailureStrategy::MostSharedFirst}) {
-    out << "failure_curve "
-        << (strategy == risk::FailureStrategy::Random ? "random" : "most shared first") << "\n";
-    for (const auto& p : risk::failure_curve(map, strategy, 40, 12, 0x1257)) {
-      out << "  " << p.failed << ": connected " << exact(p.connected_pair_fraction)
-          << ", components " << exact(p.components) << "\n";
+  for (const auto& report : a2_campaigns()) {
+    out << "A2 campaign: " << report.stressor << ", trials " << report.trials << "\n";
+    for (std::size_t f = 0; f <= report.steps; ++f) {
+      out << "  " << f << ": connected " << exact(report.connectivity.points[f].mean)
+          << ", components " << exact(report.components.points[f].mean) << "\n";
     }
   }
 
@@ -368,7 +388,7 @@ std::string render_region(const sim::HazardRegion& region) {
 TEST(GoldenArtifacts, RiskAnalyses) {
   // The risk/ analyses the bench ablations print rounded, at full
   // precision: bridges, coast-to-coast min cuts with and without the
-  // undersea festoons, both service-impact curves, the Monte-Carlo
+  // undersea festoons, A2's service-impact means, the Monte-Carlo
   // disaster study at four radii, the grid-searched worst disaster and
   // the per-ISP hazard exposure.
   const auto& scenario = shared_scenario();
@@ -393,12 +413,11 @@ TEST(GoldenArtifacts, RiskAnalyses) {
         << " | undersea " << risk::min_conduit_cut_with_undersea(map, festoons, *a, *b) << "\n";
   }
 
-  for (const auto strategy : {risk::FailureStrategy::Random, risk::FailureStrategy::MostSharedFirst}) {
-    out << "service_impact_curve "
-        << (strategy == risk::FailureStrategy::Random ? "random" : "most shared first") << "\n";
-    for (const auto& p : risk::service_impact_curve(map, strategy, 40, 10, 0x1257)) {
-      out << "  " << p.failed << ": links " << exact(p.links_hit) << ", isps "
-          << exact(p.isps_hit) << "\n";
+  for (const auto& report : a2_campaigns()) {
+    out << "A2 campaign: " << report.stressor << ", trials " << report.trials << "\n";
+    for (std::size_t f = 0; f <= report.steps; ++f) {
+      out << "  " << f << ": links " << exact(report.links_hit.points[f].mean) << ", isps "
+          << exact(report.isps_hit.points[f].mean) << "\n";
     }
   }
 
