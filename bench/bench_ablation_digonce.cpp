@@ -12,7 +12,8 @@
 #include <algorithm>
 
 #include "bench_support.hpp"
-#include "risk/cuts.hpp"
+#include "risk/risk_matrix.hpp"
+#include "sim/campaign.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -43,14 +44,17 @@ void print_artifact() {
     const auto matrix = risk::RiskMatrix::from_map(map);
     const auto counts = matrix.conduits_shared_by_at_least();
     const double total = static_cast<double>(matrix.num_conduits());
-    const auto curve =
-        risk::failure_curve(map, risk::FailureStrategy::MostSharedFirst, 15, 1, bench::kSeed);
+    sim::CampaignConfig attack;
+    attack.stressor = sim::Stressor::targeted_cuts(15);
+    attack.trials = 1;  // the most-shared-first order is deterministic
+    attack.seed = bench::kSeed;
+    const auto report = sim::CampaignEngine(map).run(attack);
     table.start_row();
     table.add_cell(multiplier, 2);
     table.add_cell(matrix.num_conduits());
     table.add_cell(counts.size() >= 4 ? 100.0 * static_cast<double>(counts[3]) / total : 0.0, 1);
     table.add_cell(counts.size());
-    table.add_cell(curve.back().connected_pair_fraction, 3);
+    table.add_cell(report.connectivity.points.back().mean, 3);
   }
   std::cout << table.render();
   std::cout

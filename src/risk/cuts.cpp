@@ -1,11 +1,10 @@
 #include "risk/cuts.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
-#include <numeric>
 #include <queue>
 
-#include "sim/campaign.hpp"
 #include "util/check.hpp"
 
 namespace intertubes::risk {
@@ -64,78 +63,6 @@ std::vector<ConduitId> bridge_conduits(const FiberMap& map) {
   }
   std::sort(bridges.begin(), bridges.end());
   return bridges;
-}
-
-namespace {
-
-/// Each trial's damage curve over failure counts 0..max_failures (clamped
-/// to the conduit count), read by the campaign engine.  MostSharedFirst is
-/// the engine's one targeted trial; Random keeps each curve's own salted
-/// shuffle, the stream EXPERIMENTS.md A2 was measured on, and strikes one
-/// conduit per step.  Trials fan out over the executor; callers reduce in
-/// trial order, so the curves are bit-identical for any thread count.
-std::vector<sim::TrialResult> trial_results(const FiberMap& map, FailureStrategy strategy,
-                                            std::size_t max_failures, std::size_t trials,
-                                            std::uint64_t seed, std::uint64_t salt) {
-  const std::size_t num_conduits = map.conduits().size();
-  max_failures = std::min(max_failures, num_conduits);
-  if (strategy == FailureStrategy::MostSharedFirst) trials = 1;
-  IT_CHECK(trials >= 1);
-
-  const sim::CampaignEngine engine(map);
-  return sim::default_executor().parallel_map<sim::TrialResult>(trials, [&](std::size_t trial) {
-    if (strategy == FailureStrategy::MostSharedFirst) {
-      return engine.run_trial(sim::Stressor::targeted_cuts(max_failures), seed, 0);
-    }
-    std::vector<ConduitId> order(num_conduits);
-    std::iota(order.begin(), order.end(), ConduitId{0});
-    Rng rng(mix64(seed ^ (salt * (trial + 1))));
-    rng.shuffle(order);
-    std::vector<std::vector<ConduitId>> cuts(max_failures);
-    for (std::size_t f = 0; f < max_failures; ++f) cuts[f].push_back(order[f]);
-    return engine.evaluate_cuts(cuts);
-  });
-}
-
-}  // namespace
-
-std::vector<FailurePoint> failure_curve(const FiberMap& map, FailureStrategy strategy,
-                                        std::size_t max_failures, std::size_t trials,
-                                        std::uint64_t seed) {
-  const auto results = trial_results(map, strategy, max_failures, trials, seed, 0x9e37ULL);
-  std::vector<FailurePoint> curve(results.front().points.size());
-  for (std::size_t f = 0; f < curve.size(); ++f) curve[f].failed = f;
-  for (const auto& result : results) {
-    for (std::size_t f = 0; f < curve.size(); ++f) {
-      curve[f].connected_pair_fraction += result.points[f].connected_pair_fraction;
-      curve[f].components += static_cast<double>(result.points[f].components);
-    }
-  }
-  for (auto& point : curve) {
-    point.connected_pair_fraction /= static_cast<double>(results.size());
-    point.components /= static_cast<double>(results.size());
-  }
-  return curve;
-}
-
-std::vector<ServiceImpactPoint> service_impact_curve(const FiberMap& map,
-                                                     FailureStrategy strategy,
-                                                     std::size_t max_failures, std::size_t trials,
-                                                     std::uint64_t seed) {
-  const auto results = trial_results(map, strategy, max_failures, trials, seed, 0x11c7ULL);
-  std::vector<ServiceImpactPoint> curve(results.front().points.size());
-  for (std::size_t f = 0; f < curve.size(); ++f) curve[f].failed = f;
-  for (const auto& result : results) {
-    for (std::size_t f = 0; f < curve.size(); ++f) {
-      curve[f].links_hit += static_cast<double>(result.points[f].links_hit);
-      curve[f].isps_hit += static_cast<double>(result.points[f].isps_hit);
-    }
-  }
-  for (auto& point : curve) {
-    point.links_hit /= static_cast<double>(results.size());
-    point.isps_hit /= static_cast<double>(results.size());
-  }
-  return curve;
 }
 
 namespace {

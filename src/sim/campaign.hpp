@@ -12,8 +12,9 @@
 // (seed, t), so a campaign's report is bit-identical for any thread count.
 //
 // CampaignEngine::evaluate_cuts is where any cut sequence becomes damage:
-// the risk/ cut curves and hazard analyses are drivers over it, and the
-// disaster-disc geometry they share lives here.
+// the risk/ hazard analyses are drivers over it, and the disaster-disc
+// geometry they share lives here.  Random and targeted failure curves are
+// campaigns under the RandomCuts and TargetedCuts stressors.
 #pragma once
 
 #include <cstddef>

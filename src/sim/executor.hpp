@@ -155,7 +155,7 @@ class Executor {
 };
 
 /// Process-wide executor sized to the hardware.  Library hot paths
-/// (risk::failure_curve etc.) run on it; create a private Executor to pin
+/// (CampaignEngine::run etc.) run on it; create a private Executor to fix
 /// a specific thread count.
 Executor& default_executor();
 

@@ -11,14 +11,23 @@
 #include "geo/colocation.hpp"
 #include "prop/prop.hpp"
 #include "prop/prop_gtest.hpp"
-#include "risk/cuts.hpp"
 #include "risk/risk_matrix.hpp"
+#include "sim/campaign.hpp"
 #include "test_support.hpp"
 
 namespace intertubes {
 namespace {
 
 const core::Scenario& scenario() { return testing::shared_scenario(); }
+
+sim::CampaignReport run_campaign(const core::FiberMap& map, sim::Stressor stressor,
+                                 std::size_t trials) {
+  sim::CampaignConfig config;
+  config.stressor = stressor;
+  config.trials = trials;
+  config.seed = 0xF00D;
+  return sim::CampaignEngine(map).run(config);
+}
 
 TEST(RiskMatrixProperties, EntryDefinitionHolds) {
   // entry(i, c) = sharing(c) iff ISP i uses c, else 0 — for every cell.
@@ -82,10 +91,10 @@ TEST(ColocationProperties, BufferMonotonicity) {
 }
 
 TEST(CutsProperties, RandomFailureCurveMonotone) {
-  const auto curve = risk::failure_curve(scenario().map(), risk::FailureStrategy::Random, 25, 4,
-                                         0xF00D);
+  const auto curve =
+      run_campaign(scenario().map(), sim::Stressor::random_cuts(25), 4).connectivity.points;
   for (std::size_t f = 1; f < curve.size(); ++f) {
-    EXPECT_LE(curve[f].connected_pair_fraction, curve[f - 1].connected_pair_fraction + 1e-12);
+    EXPECT_LE(curve[f].mean, curve[f - 1].mean + 1e-12);
   }
 }
 
@@ -93,12 +102,11 @@ TEST(CutsProperties, TargetedWeaklyWorseThanRandomService) {
   // Against the *service* metric, the adversary is never worse than the
   // average backhoe at equal cut counts.
   const auto random =
-      risk::service_impact_curve(scenario().map(), risk::FailureStrategy::Random, 20, 6, 0xF00D);
-  const auto targeted = risk::service_impact_curve(scenario().map(),
-                                                   risk::FailureStrategy::MostSharedFirst, 20, 1,
-                                                   0xF00D);
+      run_campaign(scenario().map(), sim::Stressor::random_cuts(20), 6).links_hit.points;
+  const auto targeted =
+      run_campaign(scenario().map(), sim::Stressor::targeted_cuts(20), 1).links_hit.points;
   for (std::size_t f = 0; f < random.size(); ++f) {
-    EXPECT_GE(targeted[f].links_hit + 1e-9, random[f].links_hit * 0.8)
+    EXPECT_GE(targeted[f].mean + 1e-9, random[f].mean * 0.8)
         << "targeted should track or beat random at f=" << f;
   }
 }
@@ -161,15 +169,15 @@ TEST(GeneratedMapProperties, FailureCurvesMonotoneOnGeneratedMaps) {
       [](const prop::MapSpec& spec) -> std::optional<std::string> {
     const auto map = prop::build_fiber_map(spec);
     const auto steps = std::min<std::size_t>(map.conduits().size(), 8);
-    for (const auto strategy :
-         {risk::FailureStrategy::Random, risk::FailureStrategy::MostSharedFirst}) {
-      const auto curve = risk::failure_curve(map, strategy, steps, 2, 0xF00D);
+    for (const auto stressor :
+         {sim::Stressor::random_cuts(steps), sim::Stressor::targeted_cuts(steps)}) {
+      const auto curve = run_campaign(map, stressor, 2).connectivity.points;
       for (std::size_t f = 1; f < curve.size(); ++f) {
-        if (curve[f].connected_pair_fraction > curve[f - 1].connected_pair_fraction + 1e-12) {
+        if (curve[f].mean > curve[f - 1].mean + 1e-12) {
           std::ostringstream why;
           why << "connectivity rose from step " << (f - 1) << " to " << f << " ("
-              << curve[f - 1].connected_pair_fraction << " -> " << curve[f].connected_pair_fraction
-              << ") under strategy " << static_cast<int>(strategy);
+              << curve[f - 1].mean << " -> " << curve[f].mean << ") under "
+              << sim::stressor_name(stressor);
           return why.str();
         }
       }

@@ -39,12 +39,13 @@
 //      round caps.
 //   O11 reverse_pass_property / cascade_round_structure_property — the
 //      reverse union-find pass (util/connectivity.hpp) vs the per-step
-//      forward DFS it replaced: every step of a campaign trial and of a
-//      failure curve bit-identical on generated maps with repeated ids,
-//      empty steps, isolated nodes, parallel conduits and 0- and 1-node
-//      maps; and every cascade round's giant component and L3 metrics
-//      equal to brute-force BFS over that round's dead set on the
-//      scenario world with its L3 topology.
+//      forward DFS it replaced: every step of a campaign trial, and the
+//      connectivity and components means of CampaignEngine::run under
+//      random and targeted cuts, bit-identical on generated maps with
+//      repeated ids, empty steps, isolated nodes, parallel conduits and
+//      0- and 1-node maps; and every cascade round's giant component and
+//      L3 metrics equal to brute-force BFS over that round's dead set on
+//      the scenario world with its L3 topology.
 #pragma once
 
 #include <algorithm>
@@ -60,7 +61,6 @@
 #include "optimize/robustness.hpp"
 #include "prop/generators.hpp"
 #include "prop/prop.hpp"
-#include "risk/cuts.hpp"
 #include "risk/risk_matrix.hpp"
 #include "route/path_engine.hpp"
 #include "serve/snapshot.hpp"
@@ -815,58 +815,12 @@ inline ForwardConnectivity forward_connectivity(const core::FiberMap& map,
   return result;
 }
 
-/// risk::failure_curve recomputed with the forward DFS at every failure
-/// count: the same per-trial orders, summed in trial order.
-inline std::vector<risk::FailurePoint> reference_failure_curve(const core::FiberMap& map,
-                                                               risk::FailureStrategy strategy,
-                                                               std::size_t max_failures,
-                                                               std::size_t trials,
-                                                               std::uint64_t seed) {
-  const std::size_t num_conduits = map.conduits().size();
-  if (num_conduits == 0) {
-    risk::FailurePoint base;
-    base.connected_pair_fraction = 1.0;
-    return {base};
-  }
-  max_failures = std::min(max_failures, num_conduits);
-  if (strategy == risk::FailureStrategy::MostSharedFirst) trials = 1;
-  std::vector<risk::FailurePoint> curve(max_failures + 1);
-  for (std::size_t f = 0; f <= max_failures; ++f) curve[f].failed = f;
-  for (std::size_t trial = 0; trial < trials; ++trial) {
-    std::vector<core::ConduitId> order(num_conduits);
-    for (core::ConduitId c = 0; c < num_conduits; ++c) order[c] = c;
-    if (strategy == risk::FailureStrategy::Random) {
-      Rng rng(mix64(seed ^ (0x9e37ULL * (trial + 1))));
-      rng.shuffle(order);
-    } else {
-      std::stable_sort(order.begin(), order.end(), [&map](core::ConduitId x, core::ConduitId y) {
-        return map.conduit(x).tenants.size() > map.conduit(y).tenants.size();
-      });
-    }
-    std::vector<char> dead(num_conduits, 0);
-    for (std::size_t f = 0; f <= max_failures; ++f) {
-      if (f > 0) dead[order[f - 1]] = 1;
-      const auto step = forward_connectivity(map, dead);
-      curve[f].connected_pair_fraction += step.pair_fraction;
-      curve[f].components += static_cast<double>(step.components);
-    }
-  }
-  for (auto& point : curve) {
-    point.connected_pair_fraction /= static_cast<double>(trials);
-    point.components /= static_cast<double>(trials);
-  }
-  return curve;
-}
-
 struct FailureSequenceCase {
   prop::MapSpec map;
   /// Cut draws per step: ids may repeat within and across steps, a step
-  /// may be empty, and ids past the map are dropped.
+  /// may be empty, and ids past the map are dropped.  The campaign half
+  /// runs as many steps as there are draws.
   std::vector<std::vector<core::ConduitId>> steps;
-  bool most_shared_first = false;  ///< failure_curve strategy
-  std::size_t max_failures = 4;
-  std::size_t trials = 2;
-  std::uint64_t seed = 1;
 };
 
 inline prop::Property<FailureSequenceCase> reverse_pass_property(Fault fault = Fault::None) {
@@ -910,22 +864,46 @@ inline prop::Property<FailureSequenceCase> reverse_pass_property(Fault fault = F
       }
     }
 
-    const auto strategy = c.most_shared_first ? risk::FailureStrategy::MostSharedFirst
-                                              : risk::FailureStrategy::Random;
-    const auto curve = risk::failure_curve(map, strategy, c.max_failures, c.trials, c.seed);
-    const auto expected_curve =
-        reference_failure_curve(map, strategy, c.max_failures, c.trials, c.seed);
-    if (curve.size() != expected_curve.size()) return "failure curve has the wrong length";
-    for (std::size_t f = 0; f < curve.size(); ++f) {
-      if (curve[f].failed != expected_curve[f].failed ||
-          curve[f].connected_pair_fraction != expected_curve[f].connected_pair_fraction ||
-          curve[f].components != expected_curve[f].components) {
-        std::ostringstream out;
-        out.precision(17);
-        out << "failure curve point " << f << ": connected " << curve[f].connected_pair_fraction
-            << "/" << expected_curve[f].connected_pair_fraction << ", components "
-            << curve[f].components << "/" << expected_curve[f].components;
-        return out.str();
+    // The campaign half: CampaignEngine::run's connectivity and
+    // components means against the forward DFS over the trials' own
+    // draws (engine.draw_cuts), folded in trial order.  run() clamps cut
+    // stressors to the conduit count, so the reference does too.
+    constexpr std::size_t kTrials = 3;
+    constexpr std::uint64_t kSeed = 0x1257;
+    for (auto stressor : {sim::Stressor::random_cuts(steps.size()),
+                          sim::Stressor::targeted_cuts(steps.size())}) {
+      const auto report = engine.run({stressor, kTrials, kSeed});
+      stressor.steps = std::min(stressor.steps, num_conduits);
+      std::vector<double> connected(stressor.steps + 1, 0.0);
+      std::vector<double> components(stressor.steps + 1, 0.0);
+      for (std::size_t t = 0; t < kTrials; ++t) {
+        const auto draws = engine.draw_cuts(stressor, kSeed, t);
+        std::vector<char> dead(num_conduits, 0);
+        for (std::size_t s = 0; s <= stressor.steps; ++s) {
+          if (s > 0) {
+            for (core::ConduitId cid : draws[s - 1]) dead[cid] = 1;
+          }
+          const auto expected = forward_connectivity(map, dead);
+          connected[s] += expected.pair_fraction;
+          components[s] += static_cast<double>(expected.components);
+        }
+      }
+      if (report.connectivity.points.size() != stressor.steps + 1) {
+        return sim::stressor_name(stressor) + " campaign has the wrong number of points";
+      }
+      for (std::size_t s = 0; s <= stressor.steps; ++s) {
+        const double want_connected = connected[s] / static_cast<double>(kTrials);
+        const double want_components = components[s] / static_cast<double>(kTrials);
+        const double got_connected = report.connectivity.points[s].mean;
+        const double got_components = report.components.points[s].mean;
+        if (got_connected != want_connected || got_components != want_components) {
+          std::ostringstream out;
+          out.precision(17);
+          out << sim::stressor_name(stressor) << " campaign step " << s << ": connected "
+              << got_connected << "/" << want_connected << ", components " << got_components
+              << "/" << want_components;
+          return out.str();
+        }
       }
     }
     return std::nullopt;
@@ -983,10 +961,6 @@ inline prop::Gen<FailureSequenceCase> failure_sequence_cases(
       }
       c.steps.push_back(std::move(step));
     }
-    c.most_shared_first = rng.chance(0.5);
-    c.max_failures = rng.next_below(num_conduits + 2);
-    c.trials = 1 + rng.next_below(4);
-    c.seed = rng.next_u64();
     return c;
   };
   gen.shrink = [maps](const FailureSequenceCase& c) {
@@ -1007,16 +981,6 @@ inline prop::Gen<FailureSequenceCase> failure_sequence_cases(
       smaller.steps[s].erase(smaller.steps[s].begin());
       candidates.push_back(std::move(smaller));
     }
-    if (c.trials > 1) {
-      FailureSequenceCase fewer = c;
-      fewer.trials = c.trials / 2;
-      candidates.push_back(std::move(fewer));
-    }
-    if (c.max_failures > 0) {
-      FailureSequenceCase fewer = c;
-      fewer.max_failures = c.max_failures / 2;
-      candidates.push_back(std::move(fewer));
-    }
     return candidates;
   };
   gen.describe = [](const FailureSequenceCase& c) {
@@ -1027,9 +991,7 @@ inline prop::Gen<FailureSequenceCase> failure_sequence_cases(
       for (std::size_t k = 0; k < c.steps[s].size(); ++k) out << (k ? "," : "") << c.steps[s][k];
       out << "]";
     }
-    out << "}, " << (c.most_shared_first ? "most shared first" : "random")
-        << ", max_failures=" << c.max_failures << ", trials=" << c.trials << ", seed=" << c.seed
-        << ", " << prop::describe(c.map) << "}";
+    out << "}, " << prop::describe(c.map) << "}";
     return out.str();
   };
   return gen;

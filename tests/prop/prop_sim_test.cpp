@@ -3,9 +3,9 @@
 // thread count — not just on the canonical scenario the unit tests pin,
 // but across the whole space of valid maps the generators can produce.
 // The robustness planner's reroutes are checked against masked point
-// queries alongside, and every step of a campaign trial and a failure
-// curve against the forward DFS the reverse connectivity pass replaced
-// (oracle O11).
+// queries alongside, and every step of a campaign trial and of the
+// random and targeted campaign means against the forward DFS the reverse
+// connectivity pass replaced (oracle O11).
 #include <gtest/gtest.h>
 
 #include "oracles.hpp"

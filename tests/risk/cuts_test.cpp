@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "test_support.hpp"
 
 namespace intertubes::risk {
@@ -43,59 +41,6 @@ TEST(BridgeConduits, SingleConduitIsBridge) {
   EXPECT_EQ(bridge_conduits(map), (std::vector<ConduitId>{only}));
 }
 
-TEST(FailureCurve, StartsFullyConnected) {
-  const auto map = barbell();
-  const auto curve = failure_curve(map, FailureStrategy::Random, 3, 5, 7);
-  ASSERT_EQ(curve.size(), 4u);
-  EXPECT_DOUBLE_EQ(curve[0].connected_pair_fraction, 1.0);
-  EXPECT_DOUBLE_EQ(curve[0].components, 1.0);
-}
-
-TEST(FailureCurve, MonotoneDegradation) {
-  const auto& map = testing::shared_scenario().map();
-  const auto curve = failure_curve(map, FailureStrategy::MostSharedFirst, 30, 1, 7);
-  for (std::size_t f = 1; f < curve.size(); ++f) {
-    EXPECT_LE(curve[f].connected_pair_fraction, curve[f - 1].connected_pair_fraction + 1e-12);
-    EXPECT_GE(curve[f].components, curve[f - 1].components - 1e-12);
-    EXPECT_EQ(curve[f].failed, f);
-  }
-}
-
-TEST(FailureCurve, AllConduitsCutMeansIsolation) {
-  const auto map = barbell();
-  const auto curve = failure_curve(map, FailureStrategy::Random, 5, 3, 99);
-  EXPECT_DOUBLE_EQ(curve.back().connected_pair_fraction, 0.0);
-  EXPECT_DOUBLE_EQ(curve.back().components, 5.0);
-}
-
-TEST(FailureCurve, EmptyMapYieldsSingleBaselinePoint) {
-  const FiberMap map(3);  // ISPs but no conduits laid yet
-  const auto curve = failure_curve(map, FailureStrategy::Random, 10, 4, 1);
-  ASSERT_EQ(curve.size(), 1u);
-  EXPECT_EQ(curve[0].failed, 0u);
-  EXPECT_DOUBLE_EQ(curve[0].connected_pair_fraction, 1.0);
-  EXPECT_DOUBLE_EQ(curve[0].components, 0.0);
-
-  const auto impact = service_impact_curve(map, FailureStrategy::MostSharedFirst, 10, 1, 1);
-  ASSERT_EQ(impact.size(), 1u);
-  EXPECT_DOUBLE_EQ(impact[0].links_hit, 0.0);
-}
-
-TEST(FailureCurve, MaxFailuresClamped) {
-  const auto map = barbell();
-  const auto curve = failure_curve(map, FailureStrategy::Random, 500, 2, 1);
-  EXPECT_EQ(curve.size(), map.conduits().size() + 1);
-}
-
-TEST(FailureCurve, DeterministicInSeed) {
-  const auto& map = testing::shared_scenario().map();
-  const auto c1 = failure_curve(map, FailureStrategy::Random, 10, 3, 42);
-  const auto c2 = failure_curve(map, FailureStrategy::Random, 10, 3, 42);
-  for (std::size_t f = 0; f < c1.size(); ++f) {
-    EXPECT_DOUBLE_EQ(c1[f].connected_pair_fraction, c2[f].connected_pair_fraction);
-  }
-}
-
 TEST(MinConduitCut, ParallelEdgesCountSeparately) {
   FiberMap map(2);
   const ConduitId c1 = map.ensure_conduit(make_corridor(0, 0, 1), Provenance::GeocodedMap);
@@ -125,41 +70,6 @@ TEST(MinConduitCut, MatchesBridgeSemantics) {
 TEST(MinConduitCut, RejectsNonNodes) {
   const auto map = barbell();
   EXPECT_THROW(min_conduit_cut(map, 0, 99), std::logic_error);
-}
-
-TEST(ServiceImpact, TargetedBeatsRandomEarly) {
-  const auto& map = testing::shared_scenario().map();
-  const auto random = service_impact_curve(map, FailureStrategy::Random, 10, 8, 0x1257);
-  const auto targeted =
-      service_impact_curve(map, FailureStrategy::MostSharedFirst, 10, 1, 0x1257);
-  // After a handful of cuts the adversary has hit far more links.
-  EXPECT_GT(targeted[5].links_hit, 1.5 * random[5].links_hit);
-  EXPECT_GE(targeted[5].isps_hit, random[5].isps_hit);
-}
-
-TEST(ServiceImpact, MonotoneAndBounded) {
-  const auto& map = testing::shared_scenario().map();
-  const auto curve = service_impact_curve(map, FailureStrategy::MostSharedFirst, 25, 1, 7);
-  double prev = 0.0;
-  for (const auto& point : curve) {
-    EXPECT_GE(point.links_hit, prev);
-    prev = point.links_hit;
-    EXPECT_LE(point.links_hit, static_cast<double>(map.links().size()));
-    EXPECT_LE(point.isps_hit, static_cast<double>(map.num_isps()));
-  }
-  EXPECT_DOUBLE_EQ(curve[0].links_hit, 0.0);
-}
-
-TEST(ServiceImpact, FirstTargetedCutHitsTenantCount) {
-  // Cut #1 under the targeted strategy is the most-shared conduit; every
-  // link through it is hit, and that's at least its tenant count.
-  const auto& map = testing::shared_scenario().map();
-  const auto curve = service_impact_curve(map, FailureStrategy::MostSharedFirst, 1, 1, 7);
-  std::size_t max_tenants = 0;
-  for (const auto& conduit : map.conduits()) {
-    max_tenants = std::max(max_tenants, conduit.tenants.size());
-  }
-  EXPECT_GE(curve[1].links_hit, static_cast<double>(max_tenants));
 }
 
 }  // namespace

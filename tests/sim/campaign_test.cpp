@@ -2,7 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "risk/cuts.hpp"
+#include <algorithm>
+
 #include "sim/report.hpp"
 #include "test_support.hpp"
 
@@ -112,7 +113,63 @@ TEST(SimCampaign, TargetedBeatsRandomEarly) {
   const auto r = engine.run(random, executor);
   const auto t = engine.run(targeted, executor);
   EXPECT_GT(t.links_hit.points[5].mean, 1.5 * r.links_hit.points[5].mean);
+  EXPECT_GE(t.isps_hit.points[5].mean, r.isps_hit.points[5].mean);
   EXPECT_GT(t.weight_lost.points[5].mean, r.weight_lost.points[5].mean);
+}
+
+TEST(SimCampaign, EmptyMapYieldsSingleBaselinePoint) {
+  const core::FiberMap map(3);  // ISPs but no conduits laid yet
+  const CampaignEngine engine(map);
+  Executor executor(2);
+  for (const auto stressor : {Stressor::random_cuts(10), Stressor::targeted_cuts(10)}) {
+    CampaignConfig config;
+    config.stressor = stressor;
+    config.trials = 4;
+    const auto report = engine.run(config, executor);
+    EXPECT_EQ(report.steps, 0u);
+    ASSERT_EQ(report.connectivity.points.size(), 1u);
+    EXPECT_DOUBLE_EQ(report.connectivity.points[0].mean, 1.0);
+    EXPECT_DOUBLE_EQ(report.components.points[0].mean, 0.0);
+    EXPECT_DOUBLE_EQ(report.links_hit.points[0].mean, 0.0);
+    EXPECT_TRUE(report.isp_impact.empty());
+  }
+}
+
+TEST(SimCampaign, TargetedCurveIsMonotoneAndBounded) {
+  const auto& map = testing::shared_scenario().map();
+  const CampaignEngine engine(map);
+  CampaignConfig config;
+  config.stressor = Stressor::targeted_cuts(30);
+  config.trials = 1;
+  Executor executor(2);
+  const auto report = engine.run(config, executor);
+  ASSERT_EQ(report.connectivity.points.size(), 31u);
+  EXPECT_DOUBLE_EQ(report.links_hit.points[0].mean, 0.0);
+  for (std::size_t f = 1; f <= report.steps; ++f) {
+    EXPECT_DOUBLE_EQ(report.conduits_down.points[f].mean, static_cast<double>(f));
+    EXPECT_LE(report.connectivity.points[f].mean,
+              report.connectivity.points[f - 1].mean + 1e-12);
+    EXPECT_GE(report.components.points[f].mean, report.components.points[f - 1].mean - 1e-12);
+    EXPECT_GE(report.links_hit.points[f].mean, report.links_hit.points[f - 1].mean);
+    EXPECT_LE(report.links_hit.points[f].mean, static_cast<double>(map.links().size()));
+    EXPECT_LE(report.isps_hit.points[f].mean, static_cast<double>(map.num_isps()));
+  }
+}
+
+TEST(SimCampaign, FirstTargetedCutHitsTenantCount) {
+  // The adversary's first cut is the most-shared conduit: every link
+  // through it is hit, and that's at least its tenant count.
+  const auto& map = testing::shared_scenario().map();
+  CampaignConfig config;
+  config.stressor = Stressor::targeted_cuts(1);
+  config.trials = 1;
+  Executor executor(1);
+  const auto report = CampaignEngine(map).run(config, executor);
+  std::size_t max_tenants = 0;
+  for (const auto& conduit : map.conduits()) {
+    max_tenants = std::max(max_tenants, conduit.tenants.size());
+  }
+  EXPECT_GE(report.links_hit.points[1].mean, static_cast<double>(max_tenants));
 }
 
 TEST(SimCampaign, TrafficWeightsReorderWeightLost) {
@@ -127,25 +184,6 @@ TEST(SimCampaign, TrafficWeightsReorderWeightLost) {
   Executor executor(1);
   const auto report = engine.run(config, executor);
   EXPECT_DOUBLE_EQ(report.weight_lost.points.back().mean, 1.0);
-}
-
-TEST(SimCampaign, MatchesLegacyFailureCurveShape) {
-  // The campaign's connectivity curve and risk::failure_curve answer the
-  // same question; on the deterministic targeted stressor they agree.
-  const auto& map = testing::shared_scenario().map();
-  const CampaignEngine engine(map);
-  CampaignConfig config;
-  config.stressor = Stressor::targeted_cuts(10);
-  config.trials = 1;
-  Executor executor(2);
-  const auto report = engine.run(config, executor);
-  const auto curve =
-      risk::failure_curve(map, risk::FailureStrategy::MostSharedFirst, 10, 1, 0x1257);
-  ASSERT_EQ(report.connectivity.points.size(), curve.size());
-  for (std::size_t f = 0; f < curve.size(); ++f) {
-    EXPECT_DOUBLE_EQ(report.connectivity.points[f].mean, curve[f].connected_pair_fraction);
-    EXPECT_DOUBLE_EQ(report.components.points[f].mean, curve[f].components);
-  }
 }
 
 }  // namespace
