@@ -3,10 +3,12 @@
 // Subcommands:
 //   build   build the world + map and save the dataset TSV
 //   stats   headline map statistics and the long-haul census
-//   risk    shared-risk analysis (sharing distribution, ranking, choke points)
+//   risk    shared-risk analysis (sharing distribution, choke points, ranking,
+//           most similar risk profiles)
 //   cuts    resilience: bridges, coast-to-coast min cuts, disaster drill
-//   plan    §5 mitigation toolkit for one ISP (re-routes, expansion, latency)
-//   export  GeoJSON map + transport layers
+//   plan    §5 mitigation toolkit for one ISP (re-routes, peers, expansion,
+//           latency headroom)
+//   export  GeoJSON map (traffic-annotated) + road, rail and pipeline layers
 //   check   parse a dataset file and report structured diagnostics
 //   serve   run the concurrent query engine over a scripted workload
 //
@@ -16,6 +18,7 @@
 // Exit codes: 0 success, 1 runtime failure (bad data, unknown ISP, parse
 // errors), 2 usage error (unknown command/flag, missing value).  `help`,
 // `--help`, `-h`, or no arguments print usage and exit 0.
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <iostream>
@@ -42,7 +45,10 @@
 #include "risk/cuts.hpp"
 #include "risk/geo_hazard.hpp"
 #include "risk/risk_matrix.hpp"
+#include "traceroute/campaign.hpp"
 #include "traceroute/l3_topology.hpp"
+#include "traceroute/overlay.hpp"
+#include "util/stats.hpp"
 #include "util/table.hpp"
 #include "worldgen/worldgen.hpp"
 
@@ -88,7 +94,8 @@ void usage(std::ostream& os) {
       "  risk     shared-risk analysis of the constructed map\n"
       "  cuts     bridges, min cuts, and a disaster drill (--radius)\n"
       "  plan     mitigation toolkit for one ISP (--isp, --k)\n"
-      "  export   write GeoJSON layers (--prefix)\n"
+      "  export   write GeoJSON layers (--prefix): the map annotated with a\n"
+      "           100 000-probe traceroute campaign, roads, rails, pipelines\n"
       "  diff     compare two dataset files (--before, --after)\n"
       "  check    parse a dataset file, report diagnostics (--in)\n"
       "  serve    concurrent query engine over a scripted workload\n"
@@ -236,6 +243,8 @@ int cmd_stats(const core::Scenario& scenario, const Args&) {
 }
 
 int cmd_risk(const core::Scenario& scenario, const Args&) {
+  const auto& cities = core::Scenario::cities();
+  const auto& profiles = scenario.truth().profiles();
   const auto matrix = risk::RiskMatrix::from_map(scenario.map());
   const auto counts = matrix.conduits_shared_by_at_least();
   const double total = static_cast<double>(matrix.num_conduits());
@@ -243,15 +252,45 @@ int cmd_risk(const core::Scenario& scenario, const Args&) {
     std::cout << "conduits shared by >= " << k << " ISPs: " << counts[k - 1] << " ("
               << format_double(100.0 * static_cast<double>(counts[k - 1]) / total, 1) << "%)\n";
   }
-  TextTable ranking({"ISP", "conduits", "avg sharing"});
-  const auto& profiles = scenario.truth().profiles();
+
+  std::cout << "\nmost shared conduits:\n";
+  for (core::ConduitId cid : matrix.most_shared_conduits(10)) {
+    const auto& c = scenario.map().conduit(cid);
+    std::cout << "  " << cities.city(c.a).display_name() << " -- "
+              << cities.city(c.b).display_name() << ": " << c.tenants.size() << " tenants\n";
+  }
+
+  // Per-ISP ranking (Fig. 6 right axis).
+  TextTable ranking({"ISP", "conduits", "avg sharing", "SE", "p25", "p75"});
   for (const auto& row : matrix.isp_risk_ranking()) {
     ranking.start_row();
     ranking.add_cell(profiles[row.isp].name);
     ranking.add_cell(row.conduits_used);
     ranking.add_cell(row.mean_sharing, 2);
+    ranking.add_cell(row.standard_error, 2);
+    ranking.add_cell(row.p25, 1);
+    ranking.add_cell(row.p75, 1);
   }
   std::cout << "\n" << ranking.render("per-ISP shared risk (ascending)");
+
+  // Most similar risk profiles by Hamming distance (Fig. 8); ties keep
+  // (i, j) order.
+  struct Pair {
+    std::size_t distance;
+    isp::IspId i, j;
+  };
+  const auto hamming = matrix.hamming_matrix();
+  std::vector<Pair> pairs;
+  for (isp::IspId i = 0; i < profiles.size(); ++i) {
+    for (isp::IspId j = i + 1; j < profiles.size(); ++j) pairs.push_back({hamming[i][j], i, j});
+  }
+  std::stable_sort(pairs.begin(), pairs.end(),
+                   [](const Pair& x, const Pair& y) { return x.distance < y.distance; });
+  std::cout << "\nmost similar risk profiles (smallest Hamming distance):\n";
+  for (std::size_t k = 0; k < 5 && k < pairs.size(); ++k) {
+    std::cout << "  " << profiles[pairs[k].i].name << " ~ " << profiles[pairs[k].j].name
+              << " (distance " << pairs[k].distance << ")\n";
+  }
   return 0;
 }
 
@@ -277,6 +316,7 @@ int cmd_cuts(const core::Scenario& scenario, const Args& args) {
 }
 
 int cmd_plan(const core::Scenario& scenario, const Args& args) {
+  const auto& cities = core::Scenario::cities();
   const auto& profiles = scenario.truth().profiles();
   const isp::IspId isp = isp::find_profile(profiles, args.isp);
   if (isp == isp::kNoIsp) {
@@ -295,36 +335,77 @@ int cmd_plan(const core::Scenario& scenario, const Args& args) {
               << " extra hops on average and cuts worst-tube tenancy by "
               << format_double(s.srr_avg, 1) << "\n";
   }
+  for (core::ConduitId target : targets) {
+    if (!matrix.uses(isp, target)) continue;
+    const auto suggestion = optimize::suggest_reroute(scenario.map(), matrix, target, isp);
+    const auto& c = scenario.map().conduit(target);
+    std::cout << "  " << cities.city(c.a).display_name() << " -- "
+              << cities.city(c.b).display_name() << " (" << matrix.sharing_count(target)
+              << " tenants): ";
+    if (suggestion.optimized_path.empty()) {
+      std::cout << "no alternative path\n";
+    } else {
+      std::cout << "PI=" << suggestion.path_inflation
+                << " hops, SRR=" << suggestion.shared_risk_reduction << "\n";
+    }
+  }
   const auto peering = optimize::suggest_peering(scenario.map(), matrix, targets, 3);
   std::cout << "suggested peers: ";
   for (isp::IspId peer : peering[isp].suggested) std::cout << profiles[peer].name << "  ";
-  std::cout << "\n\nexpansion (up to k=" << args.k << " new conduits):\n";
   const auto expansion =
       optimize::optimize_expansion(scenario.map(), scenario.row(), isp, args.k);
+  std::cout << "\n\nexpansion (up to k=" << args.k << " new conduits, baseline avg shared risk "
+            << format_double(expansion.baseline_avg_shared_risk, 2) << "):\n";
   for (std::size_t k = 0; k < expansion.steps.size(); ++k) {
     const auto& step = expansion.steps[k];
-    std::cout << "  k=" << (k + 1) << ": improvement "
-              << format_double(100.0 * step.improvement_ratio, 1) << "%";
+    std::cout << "  k=" << (k + 1) << ": avg " << format_double(step.avg_shared_risk, 2)
+              << ", improvement " << format_double(100.0 * step.improvement_ratio, 1) << "%";
     if (step.added != transport::kNoCorridor) {
       const auto& corridor = scenario.row().corridor(step.added);
-      std::cout << " (+ " << core::Scenario::cities().city(corridor.a).display_name() << " -- "
-                << core::Scenario::cities().city(corridor.b).display_name() << ")";
+      std::cout << " (+ " << cities.city(corridor.a).display_name() << " -- "
+                << cities.city(corridor.b).display_name() << ")";
     }
     std::cout << "\n";
   }
+
+  // Latency headroom: today's paths against the ROW and line-of-sight
+  // bounds (Fig. 12's headline).
+  const auto study = optimize::latency_study(scenario.map(), cities, scenario.row());
+  std::vector<double> gap_ms;
+  for (const auto& pair : study.pairs) {
+    if (pair.row_reachable) gap_ms.push_back(pair.row_ms - pair.los_ms);
+  }
+  std::cout << "\nlatency study over " << study.pairs.size() << " city pairs:\n"
+            << "  best existing path is already the best ROW path for "
+            << format_double(100.0 * study.fraction_best_is_row, 1) << "% of pairs\n"
+            << "  ROW-vs-LOS gap: median=" << format_double(median(gap_ms) * 1000.0, 0)
+            << " us, p75=" << format_double(quartile75(gap_ms) * 1000.0, 0) << " us\n";
   return 0;
 }
 
 int cmd_export(const core::Scenario& scenario, const Args& args) {
   const auto& cities = core::Scenario::cities();
-  const auto fiber =
-      core::export_fiber_map_geojson(scenario.map(), cities, scenario.row());
-  write_file(args.prefix + "_fiber_map.geojson", fiber);
-  write_file(args.prefix + "_roadways.geojson",
-             core::export_transport_geojson(scenario.bundle().road, cities));
-  write_file(args.prefix + "_railways.geojson",
-             core::export_transport_geojson(scenario.bundle().rail, cities));
-  std::cout << "wrote " << args.prefix << "_{fiber_map,roadways,railways}.geojson\n";
+  // Annotate every conduit with the probes a 100 000-probe traceroute
+  // campaign routes through it.
+  const auto topo = traceroute::L3Topology::from_ground_truth(scenario.truth(), cities);
+  traceroute::CampaignParams campaign_params;
+  campaign_params.seed = args.seed;
+  campaign_params.num_probes = 100000;
+  const auto campaign = traceroute::run_campaign(topo, cities, campaign_params);
+  const auto overlay = traceroute::overlay_campaign(scenario.map(), cities, campaign);
+  core::MapAnnotations annotations;
+  for (const auto& usage : overlay.usage) annotations.probes_per_conduit.push_back(usage.total());
+
+  const auto write = [&args](const std::string& layer, const std::string& content) {
+    const std::string path = args.prefix + "_" + layer + ".geojson";
+    write_file(path, content);
+    std::cout << "wrote " << path << " (" << content.size() / 1024 << " KiB)\n";
+  };
+  write("fiber_map",
+        core::export_fiber_map_geojson(scenario.map(), cities, scenario.row(), annotations));
+  write("roadways", core::export_transport_geojson(scenario.bundle().road, cities));
+  write("railways", core::export_transport_geojson(scenario.bundle().rail, cities));
+  write("pipelines", core::export_transport_geojson(scenario.bundle().pipeline, cities));
   return 0;
 }
 
