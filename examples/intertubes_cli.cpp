@@ -26,7 +26,6 @@
 #include <thread>
 #include <vector>
 
-#include "serve/engine.hpp"
 #include "serve/sharded.hpp"
 #include "serve/snapshot.hpp"
 
@@ -69,8 +68,8 @@ struct Args {
   double radius_km = 100.0;
   std::size_t requests = 200;  ///< `serve` workload length
   std::size_t threads = 4;     ///< `serve` closed-loop client threads
-  std::size_t shards = 0;      ///< `serve` fleet size (0 = single engine)
-  std::size_t churn = 0;       ///< `serve` live delta batches applied mid-run
+  std::size_t shards = 1;      ///< `serve` fleet size
+  std::size_t churn = 1;       ///< `serve` live delta batches applied mid-run
   std::size_t top = 10;        ///< `dissect` audit rows
   double target = 2.0;         ///< `dissect` stretch target vs c-latency
   std::size_t trials = 64;     ///< `cascade` Monte-Carlo trials
@@ -98,9 +97,8 @@ void usage(std::ostream& os) {
       "           100 000-probe traceroute campaign, roads, rails, pipelines\n"
       "  diff     compare two dataset files (--before, --after)\n"
       "  check    parse a dataset file, report diagnostics (--in)\n"
-      "  serve    concurrent query engine over a scripted workload\n"
-      "           (--requests, --threads; swaps in a what-if snapshot mid-run;\n"
-      "            --shards N runs the sharded fleet, --churn M applies M live\n"
+      "  serve    sharded query engine over a scripted workload\n"
+      "           (--requests, --threads, --shards; --churn M applies M live\n"
       "            cut/repair delta batches while clients stream)\n"
       "  dissect  all-pairs speed-of-light audit + gap-closing conduit proposals\n"
       "           (--top, --target, --k)\n"
@@ -121,8 +119,8 @@ void usage(std::ostream& os) {
       "  --radius <km>  disaster radius for `cuts` (default 100)\n"
       "  --requests <n> workload length for `serve` (default 200)\n"
       "  --threads <n>  client threads for `serve` (default 4)\n"
-      "  --shards <n>   serve domains for `serve` (default 0 = single engine)\n"
-      "  --churn <n>    live delta batches for sharded `serve` (default 0)\n"
+      "  --shards <n>   serve domains for `serve` (default 1)\n"
+      "  --churn <n>    live delta batches for `serve` (default 1)\n"
       "  --top <n>      audit rows for `dissect` (default 10)\n"
       "  --target <f>   stretch target vs c-latency for `dissect` (default 2.0)\n"
       "  --trials <n>   Monte-Carlo trials for `cascade` (default 64)\n"
@@ -454,13 +452,19 @@ int cmd_check(const core::Scenario& scenario, const Args& args) {
   return sink.error_count() > 0 ? 1 : 0;
 }
 
-/// The --shards path: a hash-routed fleet of serve domains (one worker
-/// each), closed-loop clients streaming the script, and a churn thread
-/// applying --churn live cut/repair delta batches (RCU-swapping every
-/// shard's replica) while the clients are in flight.  Prints the merged
-/// fleet report.
-int cmd_serve_sharded(const core::Scenario& scenario, const Args& args) {
+/// Run the serve/ query engine over a scripted mixed workload: a
+/// hash-routed fleet of --shards serve domains (one worker each),
+/// closed-loop client threads streaming the script, and --churn live
+/// delta batches applied while the clients are in flight, each
+/// RCU-swapping every shard's replica.  Prints the merged fleet report.
+int cmd_serve(const core::Scenario& scenario, const Args& args) {
+  if (args.requests == 0 || args.threads == 0 || args.shards == 0) {
+    std::cerr << "serve requires --requests >= 1, --threads >= 1 and --shards >= 1\n";
+    usage(std::cerr);
+    return kUsageError;
+  }
   serve::ShardedEngine fleet({.shards = args.shards, .threads_per_shard = 1});
+  // Non-owning alias: the Scenario on main's stack outlives the fleet.
   const std::shared_ptr<const core::Scenario> world{std::shared_ptr<const core::Scenario>{},
                                                     &scenario};
   fleet.publish(serve::Snapshot::build(world, {0, "cli base"}));
@@ -490,9 +494,10 @@ int cmd_serve_sharded(const core::Scenario& scenario, const Args& args) {
       }
     });
   }
-  // Live churn while clients stream: cut the most-shared conduit's
-  // corridor, then repair it, alternating — each apply() rebuilds the
-  // next epoch off the hot path and swaps every shard's replica.
+  // Live churn while clients stream: cut the second most-shared
+  // conduit's corridor, then repair it, alternating — each apply()
+  // rebuilds the next epoch off the hot path and swaps every shard's
+  // replica, so the report shows traffic served across several epochs.
   const transport::CorridorId corridor = base->map().conduit(targets[1]).corridor;
   for (std::size_t batch = 0; batch < args.churn; ++batch) {
     serve::DeltaBatch delta;
@@ -514,67 +519,6 @@ int cmd_serve_sharded(const core::Scenario& scenario, const Args& args) {
             << fleet.epoch() << " [" << fleet.current()->label()
             << "], stale cache entries purged: " << fleet.purge_stale_cache() << "\n\n"
             << fleet.render_metrics();
-  return failures.load() == 0 ? 0 : 1;
-}
-
-/// Run the serve/ query engine over a scripted mixed workload issued by
-/// closed-loop client threads, hot-swapping a what-if snapshot mid-run,
-/// then print the latency/cache report.
-int cmd_serve(const core::Scenario& scenario, const Args& args) {
-  if (args.requests == 0 || args.threads == 0) {
-    std::cerr << "serve requires --requests >= 1 and --threads >= 1\n";
-    usage(std::cerr);
-    return kUsageError;
-  }
-  if (args.shards > 0) return cmd_serve_sharded(scenario, args);
-  if (args.churn > 0) {
-    std::cerr << "serve --churn requires --shards >= 1\n";
-    usage(std::cerr);
-    return kUsageError;
-  }
-  serve::SnapshotStore store;
-  // Non-owning alias: the Scenario on main's stack outlives the engine.
-  const std::shared_ptr<const core::Scenario> world{std::shared_ptr<const core::Scenario>{},
-                                                    &scenario};
-  const auto base = serve::Snapshot::build(world, {0, "cli base"});
-  store.publish(base);
-  serve::Engine engine(store, sim::default_executor());
-
-  const auto targets = base->matrix().most_shared_conduits(2);
-  const std::vector<serve::Request> script = {
-      serve::SharedRiskQuery{args.isp},
-      serve::TopConduitsQuery{args.k},
-      serve::CityPathQuery{"San Francisco, CA", "New York, NY"},
-      serve::CityPathQuery{"Seattle, WA", "Miami, FL"},
-      serve::WhatIfCutQuery{{targets[0]}},
-      serve::HammingNeighborsQuery{args.isp, 3},
-  };
-
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::uint64_t> failures{0};
-  std::vector<std::thread> clients;
-  for (std::size_t t = 0; t < args.threads; ++t) {
-    clients.emplace_back([&] {
-      for (std::size_t i = next.fetch_add(1); i < args.requests; i = next.fetch_add(1)) {
-        const auto response = engine.serve(script[i % script.size()]);
-        if (response.status != serve::Status::Ok &&
-            response.status != serve::Status::Overloaded) {
-          failures.fetch_add(1);
-        }
-      }
-    });
-  }
-  // Mid-run swap: publish a what-if world while clients are in flight, so
-  // the report shows traffic served across at least two epochs.
-  store.publish(serve::Snapshot::with_conduits_cut(*base, {targets[1]}));
-  for (auto& client : clients) client.join();
-
-  std::cout << "served " << engine.metrics().total_served() << " requests on " << args.threads
-            << " client threads (shed " << engine.metrics().total_shed() << ", failed "
-            << failures.load() << ")\n"
-            << "snapshot epoch now " << store.epoch() << " [" << store.current()->label()
-            << "], stale cache entries purged: " << engine.purge_stale_cache() << "\n\n"
-            << engine.render_metrics();
   return failures.load() == 0 ? 0 : 1;
 }
 
