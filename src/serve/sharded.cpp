@@ -8,28 +8,16 @@
 
 namespace intertubes::serve {
 
-namespace {
-
-sim::ExecutorOptions executor_options(const ShardedOptions& options, std::size_t index) {
-  sim::ExecutorOptions out;
-  // Executor counts the calling thread, so +1 buys `threads_per_shard`
-  // dedicated workers; 0 workers degrades to the inline serial engine.
-  out.num_threads = options.threads_per_shard + 1;
-  out.pin_first_core =
-      options.pin_cores ? static_cast<int>(index * options.threads_per_shard) : -1;
-  return out;
-}
-
-}  // namespace
-
-ShardedEngine::Shard::Shard(const ShardedOptions& options, std::size_t index)
-    : executor(executor_options(options, index)), engine(store, executor, options.engine) {}
+// Executor counts the calling thread, so +1 buys `threads_per_shard`
+// dedicated workers; 0 workers degrades to the inline serial engine.
+ShardedEngine::Shard::Shard(const ShardedOptions& options)
+    : executor(options.threads_per_shard + 1), engine(store, executor, options.engine) {}
 
 ShardedEngine::ShardedEngine(ShardedOptions options) : options_(options) {
   IT_CHECK(options.shards > 0);
   shards_.reserve(options.shards);
   for (std::size_t s = 0; s < options.shards; ++s) {
-    shards_.push_back(std::make_unique<Shard>(options, s));
+    shards_.push_back(std::make_unique<Shard>(options));
   }
 }
 

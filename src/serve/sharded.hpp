@@ -7,9 +7,8 @@
 // snapshot pointer, the response cache, the metrics registry, and the
 // request scratch pool — once per shard, and spread threads across the
 // replicas so shards never touch each other's locks.  Each shard owns a
-// SnapshotStore (its replica pointer), a sim::Executor (its workers,
-// optionally pinned onto consecutive cores), and a serve::Engine (its
-// cache + metrics + admission bound).  The front-end routes by a hash of
+// SnapshotStore (its replica pointer), a sim::Executor (its workers),
+// and a serve::Engine (its cache + metrics + admission bound).  The front-end routes by a hash of
 // the request's canonical key, so identical requests always land on the
 // same shard and its cache, and merges per-shard metrics/histograms into
 // one operator report.
@@ -44,9 +43,6 @@ struct ShardedOptions {
   /// execute inline in submit() on the calling thread (the deterministic
   /// serial baseline, and what the bit-identity oracle drives).
   std::size_t threads_per_shard = 0;
-  /// Pin shard s's workers onto consecutive cores starting at
-  /// s * threads_per_shard (Linux; no-op elsewhere).
-  bool pin_cores = false;
   /// Per-shard engine knobs.  max_pending and the cache capacity are per
   /// shard, so the fleet-wide admission bound is shards * max_pending.
   EngineOptions engine{};
@@ -85,9 +81,6 @@ class ShardedEngine {
   std::size_t deltas_applied() const;
 
   const Engine& shard_engine(std::size_t shard) const { return shards_[shard]->engine; }
-  const sim::Executor& shard_executor(std::size_t shard) const {
-    return shards_[shard]->executor;
-  }
 
   // Combining views over the shard fleet.
   std::size_t pending() const;
@@ -109,7 +102,7 @@ class ShardedEngine {
     SnapshotStore store;
     sim::Executor executor;
     Engine engine;
-    Shard(const ShardedOptions& options, std::size_t index);
+    explicit Shard(const ShardedOptions& options);
   };
 
   ShardedOptions options_;

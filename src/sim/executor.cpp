@@ -4,11 +4,6 @@
 #include <atomic>
 #include <exception>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace intertubes::sim {
 
 /// One parallel region.  Threads claim chunks via fetch_add on `next`;
@@ -26,29 +21,14 @@ struct Executor::Job {
   bool done = false;
 };
 
-bool Executor::pin_current_thread(std::size_t core) noexcept {
-#if defined(__linux__)
-  unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = 1;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(core % hw, &set);
-  return pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
-#else
-  (void)core;
-  return false;
-#endif
-}
-
-Executor::Executor(ExecutorOptions options) : options_(options) {
-  std::size_t num_threads = options.num_threads;
+Executor::Executor(std::size_t num_threads) {
   if (num_threads == 0) {
     num_threads = std::thread::hardware_concurrency();
     if (num_threads == 0) num_threads = 1;
   }
   workers_.reserve(num_threads - 1);
   for (std::size_t t = 0; t + 1 < num_threads; ++t) {
-    workers_.emplace_back([this, t] { worker_loop(t); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -138,11 +118,7 @@ void Executor::for_each_chunk(std::size_t begin, std::size_t end, std::size_t ch
   }
 }
 
-void Executor::worker_loop(std::size_t worker_index) {
-  if (options_.pin_first_core >= 0) {
-    const std::size_t core = static_cast<std::size_t>(options_.pin_first_core) + worker_index;
-    if (pin_current_thread(core)) pinned_workers_.fetch_add(1, std::memory_order_relaxed);
-  }
+void Executor::worker_loop() {
   std::uint64_t seen = 0;
   for (;;) {
     std::shared_ptr<Job> job;

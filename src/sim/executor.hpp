@@ -17,7 +17,6 @@
 // about a result depends on who computed it.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -31,24 +30,12 @@
 
 namespace intertubes::sim {
 
-struct ExecutorOptions {
-  /// 0 picks the hardware concurrency (min 1).
-  std::size_t num_threads = 0;
-  /// When >= 0, each spawned worker t pins itself to core
-  /// (pin_first_core + t) mod hardware_concurrency — the multi-domain
-  /// serving shape, where every shard's workers own consecutive cores.
-  /// Linux only; silently a no-op elsewhere (pinned_workers() reports
-  /// what actually stuck).  The calling thread is never pinned.
-  int pin_first_core = -1;
-};
-
 class Executor {
  public:
   /// num_threads = 0 picks the hardware concurrency (min 1).  The calling
   /// thread participates in every parallel region, so Executor(1) spawns
   /// no workers and runs everything inline (the serial baseline).
-  explicit Executor(std::size_t num_threads = 0) : Executor(ExecutorOptions{num_threads, -1}) {}
-  explicit Executor(ExecutorOptions options);
+  explicit Executor(std::size_t num_threads = 0);
   ~Executor();
 
   Executor(const Executor&) = delete;
@@ -56,17 +43,6 @@ class Executor {
 
   /// Total threads that execute work (spawned workers + the caller).
   std::size_t num_threads() const noexcept { return workers_.size() + 1; }
-
-  /// Workers whose affinity request succeeded (0 when pinning is off or
-  /// unsupported on this platform).  Advisory: workers pin themselves as
-  /// they start, so the count can still rise shortly after construction.
-  std::size_t pinned_workers() const noexcept {
-    return pinned_workers_.load(std::memory_order_relaxed);
-  }
-
-  /// Best-effort: pin the calling thread to `core` (mod hardware
-  /// concurrency).  Returns false when unsupported or refused.
-  static bool pin_current_thread(std::size_t core) noexcept;
 
   /// The chunk actually used for a range of `items`: `chunk` if non-zero,
   /// otherwise a default that depends only on `items` (never on the thread
@@ -140,11 +116,9 @@ class Executor {
  private:
   struct Job;
 
-  void worker_loop(std::size_t worker_index);
+  void worker_loop();
   static void run_job(Job& job);
 
-  ExecutorOptions options_;
-  std::atomic<std::size_t> pinned_workers_{0};
   std::vector<std::thread> workers_;
   mutable std::mutex mu_;
   std::condition_variable cv_;

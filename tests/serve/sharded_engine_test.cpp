@@ -204,16 +204,5 @@ TEST(ServeSharded, WorkerModeMatchesInlineBodies) {
   }
 }
 
-TEST(ServeSharded, PinnedWorkersAreBoundedByRequestedThreads) {
-  ShardedEngine sharded({.shards = 2, .threads_per_shard = 2, .pin_cores = true});
-  sharded.publish(Snapshot::build(scenario_ptr()));
-  for (const auto& request : mixed_script()) sharded.serve(request);
-  for (std::size_t s = 0; s < sharded.num_shards(); ++s) {
-    // Pinning is advisory (fails on restricted cpusets / non-Linux), but
-    // can never exceed the workers that exist.
-    EXPECT_LE(sharded.shard_executor(s).pinned_workers(), 2u);
-  }
-}
-
 }  // namespace
 }  // namespace intertubes::serve

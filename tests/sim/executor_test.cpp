@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <stdexcept>
@@ -170,49 +169,6 @@ TEST(SimExecutor, DefaultExecutorWorks) {
       default_executor().parallel_map<std::size_t>(32, [](std::size_t i) { return i * i; });
   ASSERT_EQ(squares.size(), 32u);
   EXPECT_EQ(squares[7], 49u);
-}
-
-TEST(SimExecutor, CoreAffinityPinsWorkersWhenTheOsAllows) {
-  // pin_current_thread is advisory: it fails under restricted cpusets and
-  // on non-Linux.  Probe from the test thread first — only when the OS
-  // grants affinity here do we require the workers to have pinned too
-  // (they run the same call).  Probing mutates this thread's mask, which
-  // is harmless: gtest runs tests sequentially on one thread whose mask
-  // no other test inspects.
-  const bool pinnable = Executor::pin_current_thread(0);
-
-  Executor executor(ExecutorOptions{.num_threads = 3, .pin_first_core = 0});
-  // Two dedicated workers (the caller is counted as the third thread).
-  ASSERT_EQ(executor.num_threads(), 3u);
-  // Run real work so both workers have certainly started their loops
-  // (pinning happens at loop entry, before the first task).
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 64; ++i) executor.post([&] { ++ran; });
-  while (ran.load() < 64) std::this_thread::yield();
-
-  if (pinnable) {
-    // One eager worker may have drained the whole queue before the other
-    // was ever scheduled; give the laggard a moment to enter its loop.
-    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-    while (executor.pinned_workers() < 2 && std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::yield();
-    }
-    EXPECT_EQ(executor.pinned_workers(), 2u);
-  }
-  EXPECT_LE(executor.pinned_workers(), 2u);
-}
-
-TEST(SimExecutor, AffinityIsOffByDefaultAndHarmlessWhenOn) {
-  Executor plain(3);
-  EXPECT_EQ(plain.pinned_workers(), 0u);
-
-  // A pin base beyond the machine's core count wraps modulo the hardware
-  // concurrency rather than failing construction — results stay correct.
-  Executor wrapped(ExecutorOptions{.num_threads = 3, .pin_first_core = 1 << 20});
-  const auto squares =
-      wrapped.parallel_map<std::size_t>(64, [](std::size_t i) { return i * i; });
-  ASSERT_EQ(squares.size(), 64u);
-  EXPECT_EQ(squares[9], 81u);
 }
 
 }  // namespace
