@@ -363,9 +363,8 @@ CascadeReport CascadeEngine::run(const CascadeConfig& config, sim::Executor* exe
       series_of([](const RoundPoint& p) { return p.l3_reachability; }), "L3 reachability");
   report.demand_delivered = sim::aggregate_series(
       series_of([](const RoundPoint& p) { return p.demand_delivered; }), "demand delivered");
-  report.mean_stretch =
-      sim::aggregate_series(series_of([](const RoundPoint& p) { return p.mean_stretch; }),
-                            "mean stretch", sim::InfPolicy::Exclude);
+  report.mean_stretch = sim::aggregate_series(
+      series_of([](const RoundPoint& p) { return p.mean_stretch; }), "mean stretch");
 
   std::vector<std::vector<std::uint32_t>> losses(trials.size());
   for (std::size_t t = 0; t < trials.size(); ++t) losses[t] = std::move(trials[t].isp_links_lost);

@@ -146,8 +146,8 @@ struct CascadeReport {
   sim::MetricCurve l3_edges_dead;
   sim::MetricCurve l3_reachability;
   sim::MetricCurve demand_delivered;
-  /// Aggregated under InfPolicy::Exclude: a trial whose demands are all
-  /// undeliverable contributes no stretch sample (samples records the
+  /// A trial whose demands are all undeliverable contributes no stretch
+  /// sample (aggregate_samples drops +inf; samples records the
   /// survivors) instead of poisoning the mean.
   sim::MetricCurve mean_stretch;
   std::vector<sim::IspImpact> isp_impact;

@@ -8,9 +8,9 @@
 //     which thread runs it;
 //   * chunk boundaries depend only on the range size and the requested
 //     chunk, never on the thread count;
-//   * reductions are *ordered*: parallel_map writes result i to slot i, and
-//     parallel_reduce folds per-chunk partials in chunk order, so
-//     floating-point accumulation order is fixed.
+//   * results are *ordered*: parallel_map writes result i to slot i, so a
+//     caller that folds the slots in index order fixes the floating-point
+//     accumulation order.
 //
 // Scheduling is dynamic (threads claim the next chunk from a shared atomic
 // cursor — cheap work stealing), which is safe precisely because nothing
@@ -45,9 +45,8 @@ class Executor {
   std::size_t num_threads() const noexcept { return workers_.size() + 1; }
 
   /// The chunk actually used for a range of `items`: `chunk` if non-zero,
-  /// otherwise a default that depends only on `items` (never on the thread
-  /// count — that would break cross-thread-count determinism of
-  /// parallel_reduce).
+  /// otherwise a default that depends only on `items`, never on the
+  /// thread count.
   static std::size_t resolve_chunk(std::size_t items, std::size_t chunk) noexcept;
 
   /// Submit one asynchronous task to the pool and return immediately.
@@ -90,27 +89,6 @@ class Executor {
       for (std::size_t i = b; i < e; ++i) out[i] = fn(i);
     });
     return out;
-  }
-
-  /// Ordered reduction: fold map_fn(i) over [0, items) with reduce_fn.
-  /// Each chunk folds locally from `identity`; chunk partials are then
-  /// folded in chunk order, so the result is identical for any thread
-  /// count (though not necessarily to a chunk-free serial fold — chunking
-  /// fixes the association).
-  template <typename T, typename MapFn, typename ReduceFn>
-  T parallel_reduce(std::size_t items, T identity, MapFn&& map_fn, ReduceFn&& reduce_fn,
-                    std::size_t chunk = 0) {
-    chunk = resolve_chunk(items, chunk);
-    const std::size_t num_chunks = items == 0 ? 0 : (items + chunk - 1) / chunk;
-    std::vector<T> partials(num_chunks, identity);
-    for_each_chunk(0, items, chunk, [&](std::size_t b, std::size_t e) {
-      T acc = identity;
-      for (std::size_t i = b; i < e; ++i) acc = reduce_fn(std::move(acc), map_fn(i));
-      partials[b / chunk] = std::move(acc);
-    });
-    T total = std::move(identity);
-    for (auto& partial : partials) total = reduce_fn(std::move(total), std::move(partial));
-    return total;
   }
 
  private:

@@ -12,16 +12,12 @@
 
 namespace intertubes::sim {
 
-CurvePoint aggregate_samples(const std::vector<double>& values, InfPolicy policy,
-                             double saturate_cap) {
+CurvePoint aggregate_samples(const std::vector<double>& values) {
   std::vector<double> kept;
   kept.reserve(values.size());
   double sum = 0.0;
   for (double v : values) {  // ordered accumulation
-    if (!std::isfinite(v)) {
-      if (policy == InfPolicy::Exclude) continue;
-      v = saturate_cap;
-    }
+    if (!std::isfinite(v)) continue;
     kept.push_back(v);
     sum += v;
   }
@@ -39,8 +35,7 @@ CurvePoint aggregate_samples(const std::vector<double>& values, InfPolicy policy
   return point;
 }
 
-MetricCurve aggregate_series(const std::vector<std::vector<double>>& series, std::string name,
-                             InfPolicy policy, double saturate_cap) {
+MetricCurve aggregate_series(const std::vector<std::vector<double>>& series, std::string name) {
   IT_CHECK(!series.empty());
   const std::size_t steps = series.front().size();
   for (const auto& trial : series) {
@@ -52,7 +47,7 @@ MetricCurve aggregate_series(const std::vector<std::vector<double>>& series, std
   std::vector<double> values(series.size());
   for (std::size_t step = 0; step < steps; ++step) {
     for (std::size_t t = 0; t < series.size(); ++t) values[t] = series[t][step];
-    curve.points[step] = aggregate_samples(values, policy, saturate_cap);
+    curve.points[step] = aggregate_samples(values);
   }
   return curve;
 }
@@ -66,9 +61,9 @@ struct MetricColumns {
   double (*extract)(const TrialPoint&);
 };
 
-// Campaign metrics are always finite, so aggregate_samples' Exclude
-// policy is a no-op here — the same code path the +inf-carrying cascade
-// curves harden.
+// Campaign metrics are always finite, so aggregate_samples drops nothing
+// here — the same code path that hardens the +inf-carrying cascade
+// curves.
 constexpr MetricColumns kMetrics[] = {
     {&CampaignReport::conduits_down, "conduits down",
      [](const TrialPoint& p) { return static_cast<double>(p.conduits_down); }},
@@ -111,7 +106,7 @@ CampaignReport aggregate_trials(const std::vector<TrialResult>& trials, std::siz
     for (std::size_t t = 0; t < trials.size(); ++t) {
       values[t] = metric.extract(trials[t].points[step]);
     }
-    (report.*metric.curve).points[step] = aggregate_samples(values, InfPolicy::Exclude);
+    (report.*metric.curve).points[step] = aggregate_samples(values);
   });
 
   std::vector<std::vector<std::uint32_t>> losses(trials.size());

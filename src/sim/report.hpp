@@ -46,27 +46,11 @@ struct CurvePoint {
   double p5 = 0.0;
   double p50 = 0.0;
   double p95 = 0.0;
-  /// Samples that entered the aggregate after the InfPolicy was applied
-  /// (= trial count unless Exclude dropped non-finite sentinels).
+  /// Finite samples that entered the aggregate (= trial count unless
+  /// non-finite sentinels were dropped).
   std::size_t samples = 0;
 
   bool operator==(const CurvePoint&) const = default;
-};
-
-/// What to do with non-finite samples (the +inf unreachable-pair
-/// sentinels of the dissect/cascade convention) when folding an outcome
-/// series into a curve.  Without an explicit policy a single unreachable
-/// trial poisons every mean and percentile of its step.
-enum class InfPolicy : std::uint8_t {
-  /// Drop non-finite samples; the point aggregates the finite remainder
-  /// and `samples` records how many survived.  A point with no finite
-  /// sample at all stays honestly +inf (samples = 0) — never an alias of
-  /// a large real value.
-  Exclude,
-  /// Replace non-finite samples with `saturate_cap` and keep them — for
-  /// consumers that want "unreachable" to count as a worst-case outcome
-  /// instead of vanishing from the distribution.
-  Saturate,
 };
 
 /// One metric aggregated across trials, one CurvePoint per failure step.
@@ -78,16 +62,19 @@ struct MetricCurve {
 };
 
 /// Fold one cross-trial sample vector (values[t] = trial t's outcome at a
-/// fixed step) into a CurvePoint under an explicit non-finite policy.
+/// fixed step) into a CurvePoint.  Non-finite samples (the +inf
+/// unreachable-pair sentinels of the dissect/cascade convention) are
+/// dropped, so one unreachable trial cannot poison a step's mean and
+/// percentiles: the point aggregates the finite remainder and `samples`
+/// records how many survived.  A point with no finite sample at all stays
+/// honestly +inf (samples = 0) — never an alias of a large real value.
 /// Accumulation runs in index order, so the result is bit-identical for
 /// any thread count as long as `values` is assembled in trial order.
-CurvePoint aggregate_samples(const std::vector<double>& values,
-                             InfPolicy policy = InfPolicy::Exclude, double saturate_cap = 0.0);
+CurvePoint aggregate_samples(const std::vector<double>& values);
 
 /// One metric across trials: series[t][step], every trial the same
 /// length.  One CurvePoint per step via aggregate_samples.
-MetricCurve aggregate_series(const std::vector<std::vector<double>>& series, std::string name,
-                             InfPolicy policy = InfPolicy::Exclude, double saturate_cap = 0.0);
+MetricCurve aggregate_series(const std::vector<std::vector<double>>& series, std::string name);
 
 struct IspImpact {
   isp::IspId isp = isp::kNoIsp;

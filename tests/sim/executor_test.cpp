@@ -76,19 +76,6 @@ TEST(SimExecutor, MapIsBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial, compute(8));
 }
 
-TEST(SimExecutor, ReduceIsIdenticalAcrossThreadCounts) {
-  auto total = [](std::size_t threads, std::size_t chunk) {
-    Executor executor(threads);
-    return executor.parallel_reduce<double>(
-        1000, 0.0, [](std::size_t i) { return 1.0 / static_cast<double>(i + 1); },
-        [](double a, double b) { return a + b; }, chunk);
-  };
-  const double serial = total(1, 16);
-  EXPECT_EQ(serial, total(2, 16));
-  EXPECT_EQ(serial, total(8, 16));
-  EXPECT_NEAR(serial, total(1, 0), 1e-9);  // default chunking, same value ± association
-}
-
 TEST(SimExecutor, ExceptionsPropagateAndPoolSurvives) {
   Executor executor(4);
   EXPECT_THROW(

@@ -1,7 +1,7 @@
 // The +inf hardening of the report aggregators: cascade mean-stretch
 // curves carry infinity sentinels ("nothing deliverable this trial"), and
-// the fold must either exclude them honestly or saturate them explicitly —
-// never let one poisoned trial silently flatten a mean.
+// the fold must exclude them honestly — never let one poisoned trial
+// silently flatten a mean.
 #include "sim/report.hpp"
 
 #include <gtest/gtest.h>
@@ -47,21 +47,6 @@ TEST(SimReport, AllExcludedStaysHonestlyInfinite) {
   EXPECT_TRUE(std::isinf(point.mean));
   EXPECT_TRUE(std::isinf(point.p50));
   EXPECT_EQ(point.samples, 0u);
-}
-
-TEST(SimReport, SaturateReplacesNonFiniteWithCap) {
-  const auto point = aggregate_samples({1.0, kInf, 3.0}, InfPolicy::Saturate, 8.0);
-  EXPECT_DOUBLE_EQ(point.mean, 4.0);  // (1 + 8 + 3) / 3
-  EXPECT_EQ(point.samples, 3u);
-  EXPECT_GT(point.p95, 3.0);
-  EXPECT_LE(point.p95, 8.0);
-}
-
-TEST(SimReport, SaturateKeepsAllInfTrialsInTheDistribution) {
-  const auto point = aggregate_samples({kInf}, InfPolicy::Saturate, 5.0);
-  EXPECT_DOUBLE_EQ(point.mean, 5.0);
-  EXPECT_DOUBLE_EQ(point.p95, 5.0);
-  EXPECT_EQ(point.samples, 1u);
 }
 
 TEST(SimReport, SeriesExcludesPerStepIndependently) {
