@@ -96,10 +96,9 @@ DissectionStudy LatencyDissector::dissect(sim::Executor* executor,
 
   // One pass per source: its two distance rows, then its pairs (i, j > i)
   // decomposed into their row-major slots and counted.  Each row comes
-  // from distances_into, the primitive behind distance_rows and
-  // dissect_pair, and each cell is a pure function of the two rows, so
-  // the pairs and counts are bit-identical for any thread count.  The
-  // last node owns no pair.
+  // from distances_into, the primitive behind distance_rows, and each
+  // cell is a pure function of the two rows, so the pairs and counts are
+  // bit-identical for any thread count.  The last node owns no pair.
   study.pairs.resize(n * (n - 1) / 2);
   std::vector<RowCounts> counts(n - 1);
   const auto sweep = [&](std::size_t begin, std::size_t end) {
@@ -161,12 +160,18 @@ DissectionStudy LatencyDissector::dissect(sim::Executor* executor,
 
 PairDissection LatencyDissector::dissect_pair(transport::CityId a, transport::CityId b) const {
   IT_CHECK(a < fiber_->num_nodes() && b < fiber_->num_nodes());
-  // distances_from wraps distances_into, the row primitive the sweep
-  // runs, so the result is bitwise equal to the corresponding sweep entry.
-  const double fiber_km = fiber_->distances_from(static_cast<route::NodeId>(a))[b];
-  const double row_km =
-      row_.path_engine().distances_from(static_cast<route::NodeId>(a))[b];
-  return decompose(a, b, fiber_km, row_km);
+  // One leased target search per engine, stopped once b settles.  The
+  // search settles the same prefix as the full run behind distances_into,
+  // the sweep's row primitive, so the cell is bitwise equal to the
+  // corresponding sweep entry (+inf when b is unreachable).
+  const auto distance_km = [a, b](const route::PathEngine& engine) {
+    const auto ws = engine.lease_workspace();
+    const auto target = static_cast<route::NodeId>(b);
+    engine.search_targets(static_cast<route::NodeId>(a),
+                          std::span<const route::NodeId>(&target, 1), {}, *ws);
+    return ws->settled(target) ? ws->distance(target) : kInf;
+  };
+  return decompose(a, b, distance_km(*fiber_), distance_km(row_.path_engine()));
 }
 
 }  // namespace intertubes::dissect

@@ -121,8 +121,9 @@ class LatencyDissector {
   DissectionStudy dissect(sim::Executor* executor = nullptr,
                           const DissectOptions& options = {}) const;
 
-  /// One pair, point queries only — bit-identical to the corresponding
-  /// sweep entry (both are pure functions of the same graphs).
+  /// One pair: one target search per engine, stopped once `b` settles —
+  /// bit-identical to the corresponding sweep entry (both are pure
+  /// functions of the same graphs).
   PairDissection dissect_pair(transport::CityId a, transport::CityId b) const;
 
  private:

@@ -279,21 +279,29 @@ TEST(DissectStudy, SweepIsBitIdenticalAtAnyThreadCount) {
   expect_thread_count_invariant(thinned, serial);
 }
 
-TEST(DissectStudy, PointQueryMatchesSweepEntryBitwise) {
-  // dissect_pair and the sweep are the same pure function of the graphs;
-  // spot-check a spread of entries.
-  const std::size_t stride = study().pairs.size() / 7 + 1;
-  for (std::size_t i = 0; i < study().pairs.size(); i += stride) {
-    const auto& expected = study().pairs[i];
-    const auto got = dissector().dissect_pair(expected.a, expected.b);
-    EXPECT_EQ(got.fiber_ms, expected.fiber_ms);
-    EXPECT_EQ(got.row_ms, expected.row_ms);
-    EXPECT_EQ(got.clat_ms, expected.clat_ms);
-    EXPECT_EQ(got.refraction_ms, expected.refraction_ms);
-    EXPECT_EQ(got.row_inflation_ms, expected.row_inflation_ms);
-    EXPECT_EQ(got.detour_ms, expected.detour_ms);
-    EXPECT_EQ(got.stretch, expected.stretch);
+/// dissect_pair against every sweep entry, every field bit for bit.
+void expect_point_queries_match_sweep(const LatencyDissector& dissector,
+                                      const DissectionStudy& study, const std::string& label) {
+  for (std::size_t i = 0; i < study.pairs.size(); ++i) {
+    const auto& expected = study.pairs[i];
+    if (!same_bits(dissector.dissect_pair(expected.a, expected.b), expected)) {
+      ADD_FAILURE() << label << ": pair " << i << " (" << expected.a << ", " << expected.b
+                    << ") differs from its sweep entry";
+      return;
+    }
   }
+}
+
+TEST(DissectStudy, PointQueryMatchesSweepEntryBitwise) {
+  // dissect_pair's target searches and the sweep's full rows are the same
+  // pure function of the graphs: every pair of the canonical study, and
+  // every pair of the island world (fiber- and ROW-unreachable pairs, and
+  // the coincident pair with its +inf stretch).
+  expect_point_queries_match_sweep(dissector(), study(), "canonical");
+  const IslandWorld islands;
+  const auto island_study = islands.dissector.dissect();
+  ASSERT_EQ(island_study.pairs.size(), 21u);
+  expect_point_queries_match_sweep(islands.dissector, island_study, "islands");
 }
 
 TEST(DissectStudy, SharedEngineConstructorMatchesFreshBuild) {
