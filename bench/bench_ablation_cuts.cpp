@@ -10,16 +10,6 @@ namespace {
 
 using namespace intertubes;
 
-/// One A2 campaign on `engine` at the bench seed.
-sim::CampaignReport run_campaign(const sim::CampaignEngine& engine, sim::Stressor stressor,
-                                 std::size_t trials) {
-  sim::CampaignConfig config;
-  config.stressor = stressor;
-  config.trials = trials;
-  config.seed = bench::kSeed;
-  return engine.run(config);
-}
-
 void print_artifact() {
   const auto& map = bench::scenario().map();
   const auto& cities = core::Scenario::cities();
@@ -40,8 +30,8 @@ void print_artifact() {
   // deterministic most-shared-first adversary (one trial).
   const std::size_t max_failures = 40;
   const sim::CampaignEngine engine(map);
-  const auto random = run_campaign(engine, sim::Stressor::random_cuts(max_failures), 10);
-  const auto targeted = run_campaign(engine, sim::Stressor::targeted_cuts(max_failures), 1);
+  const auto random = engine.run({sim::Stressor::random_cuts(max_failures), 10, bench::kSeed});
+  const auto targeted = engine.run({sim::Stressor::targeted_cuts(max_failures), 1, bench::kSeed});
   TextTable table({"cuts", "connectivity (random)", "connectivity (targeted)",
                    "components (targeted)"});
   for (std::size_t f = 0; f <= max_failures; f += 5) {
@@ -101,7 +91,7 @@ BENCHMARK(BM_BridgeConduits)->Unit(benchmark::kMicrosecond);
 void BM_FailureCurveTargeted(benchmark::State& state) {
   for (auto _ : state) {
     const sim::CampaignEngine engine(bench::scenario().map());
-    auto report = run_campaign(engine, sim::Stressor::targeted_cuts(20), 1);
+    auto report = engine.run({sim::Stressor::targeted_cuts(20), 1, bench::kSeed});
     benchmark::DoNotOptimize(report.connectivity.points.size());
   }
 }

@@ -44,11 +44,9 @@ void print_artifact() {
     const auto matrix = risk::RiskMatrix::from_map(map);
     const auto counts = matrix.conduits_shared_by_at_least();
     const double total = static_cast<double>(matrix.num_conduits());
-    sim::CampaignConfig attack;
-    attack.stressor = sim::Stressor::targeted_cuts(15);
-    attack.trials = 1;  // the most-shared-first order is deterministic
-    attack.seed = bench::kSeed;
-    const auto report = sim::CampaignEngine(map).run(attack);
+    // The most-shared-first order is deterministic: one trial.
+    const auto report =
+        sim::CampaignEngine(map).run({sim::Stressor::targeted_cuts(15), 1, bench::kSeed});
     table.start_row();
     table.add_cell(multiplier, 2);
     table.add_cell(matrix.num_conduits());

@@ -7,11 +7,11 @@
 // snapshot pointer, the response cache, the metrics registry, and the
 // request scratch pool — once per shard, and spread threads across the
 // replicas so shards never touch each other's locks.  Each shard owns a
-// SnapshotStore (its replica pointer), a sim::Executor (its workers),
-// and a serve::Engine (its cache + metrics + admission bound).  The front-end routes by a hash of
-// the request's canonical key, so identical requests always land on the
-// same shard and its cache, and merges per-shard metrics/histograms into
-// one operator report.
+// SnapshotStore (its replica pointer), a sim::Executor (its workers), and
+// a serve::Engine (its cache + metrics + admission bound).  The front-end
+// routes by a hash of the request's canonical key, so identical requests
+// always land on the same shard and its cache, and merges per-shard
+// metrics/histograms into one operator report.
 //
 // Epoch protocol: publish() and apply() stamp each snapshot exactly once
 // through the primary store, then install the *same* pointer into every

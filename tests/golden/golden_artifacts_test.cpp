@@ -263,17 +263,9 @@ std::string render_campaign(const sim::CampaignReport& report) {
 const std::vector<sim::CampaignReport>& a2_campaigns() {
   static const std::vector<sim::CampaignReport> reports = [] {
     const sim::CampaignEngine engine(shared_scenario().map());
-    std::vector<sim::CampaignReport> out;
-    for (const auto& [stressor, trials] :
-         {std::pair{sim::Stressor::random_cuts(40), std::size_t{10}},
-          std::pair{sim::Stressor::targeted_cuts(40), std::size_t{1}}}) {
-      sim::CampaignConfig config;
-      config.stressor = stressor;
-      config.trials = trials;
-      config.seed = 0x1257;
-      out.push_back(engine.run(config));
-    }
-    return out;
+    return std::vector<sim::CampaignReport>{
+        engine.run({sim::Stressor::random_cuts(40), 10, 0x1257}),
+        engine.run({sim::Stressor::targeted_cuts(40), 1, 0x1257})};
   }();
   return reports;
 }

@@ -22,11 +22,7 @@ const core::Scenario& scenario() { return testing::shared_scenario(); }
 
 sim::CampaignReport run_campaign(const core::FiberMap& map, sim::Stressor stressor,
                                  std::size_t trials) {
-  sim::CampaignConfig config;
-  config.stressor = stressor;
-  config.trials = trials;
-  config.seed = 0xF00D;
-  return sim::CampaignEngine(map).run(config);
+  return sim::CampaignEngine(map).run({stressor, trials, 0xF00D});
 }
 
 TEST(RiskMatrixProperties, EntryDefinitionHolds) {
