@@ -100,10 +100,13 @@ TEST(SimExecutor, NestedParallelismCompletes) {
 }
 
 TEST(SimExecutor, PostRunsTasksAsynchronously) {
-  Executor executor(4);
+  // The last task still touches mu and cv after the waiter can see
+  // ran == 64, so they are declared first: the executor's destructor
+  // joins its workers before they are destroyed.
   std::atomic<int> ran{0};
   std::mutex mu;
   std::condition_variable cv;
+  Executor executor(4);
   for (int i = 0; i < 64; ++i) {
     executor.post([&] {
       if (ran.fetch_add(1) + 1 == 64) {
